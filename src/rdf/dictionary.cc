@@ -196,7 +196,9 @@ TermId Dictionary::Intern(const Term& term) {
 void Dictionary::Reserve(size_t n) {
   EnsureMutable();
   records_owned_.reserve(n * kTermRecordBytes);
-  arena_owned_.reserve(arena_owned_.size() + n * 24);
+  // Called once before a bulk intern (the v1 snapshot open), never per
+  // chunk, so the exact reservation cannot turn into repeated regrowth.
+  arena_owned_.reserve(arena_owned_.size() + n * 24);  // lint:allow(incremental-reserve): one-shot
   uint32_t capacity = HashCapacityFor(n < size_ ? size_ : n);
   if (static_cast<size_t>(capacity) * 4 > slots_owned_.size()) {
     Rehash(capacity);

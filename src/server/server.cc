@@ -59,6 +59,10 @@ void Server::AcceptLoop() {
       break;
     }
 
+    // Replies are small frames; without this, one written while the
+    // previous is unacknowledged waits for the client's delayed ACK.
+    util::SetNoDelay(fd);
+
     // Admission control. admitted_ only grows here, so the cap is strict.
     if (admitted_.load(std::memory_order_acquire) >= config_.max_conns) {
       rejected_.fetch_add(1, std::memory_order_relaxed);

@@ -81,7 +81,13 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port) {
   if (rc != 0) {
     return ErrnoStatus("connect " + host + ":" + std::to_string(port), errno);
   }
+  SetNoDelay(fd.get());
   return fd;
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 Result<size_t> ReadSome(int fd, void* buf, size_t n) {

@@ -39,6 +39,10 @@ namespace {
 
 struct ExecOutcome {
   BindingTable table;
+  /// Every cell decoded through the executor's dictionaries. Aggregate
+  /// outputs get fresh scratch ids in each executor, so equal ids alone
+  /// do not prove equal aggregate values.
+  std::vector<std::string> cells;
   ExecutionStats stats;
 };
 
@@ -56,6 +60,7 @@ void ExpectIdentical(const ExecOutcome& serial, const ExecOutcome& other,
       }
     }
   }
+  EXPECT_EQ(serial.cells, other.cells) << label << ": decoded values differ";
   EXPECT_EQ(serial.stats.intermediate_rows, other.stats.intermediate_rows)
       << label;
   EXPECT_EQ(serial.stats.scan_rows, other.stats.scan_rows) << label;
@@ -102,7 +107,16 @@ void RunDifferential(const rdf::TripleStore& store,
     ExecOutcome out;
     auto result = exec.Execute(query, *plan, &out.stats, options);
     EXPECT_TRUE(result.ok()) << label << ": " << result.status().ToString();
-    if (result.ok()) out.table = std::move(result).value();
+    if (!result.ok()) return out;
+    out.table = std::move(result).value();
+    for (size_t r = 0; r < out.table.num_rows(); ++r) {
+      for (size_t c = 0; c < out.table.num_vars(); ++c) {
+        const rdf::TermView t = exec.scratch_dict()->term(out.table.at(r, c));
+        out.cells.push_back(std::string(t.lexical) + "^^" +
+                            std::string(t.datatype) + "@" +
+                            std::string(t.lang));
+      }
+    }
     return out;
   };
 

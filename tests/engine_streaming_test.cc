@@ -1,13 +1,20 @@
 // Tests for the streaming root aggregation path: results must be
 // identical to materialize-then-aggregate for every query shape, filters
 // must apply before accumulation, and cross-product aggregates must work
-// (the shape behind BSBM-BI Q4's ratio computation).
+// (the shape behind BSBM-BI Q4's ratio computation). A determinism
+// differential pins the columnar root windows, selection-vector filters
+// and slice cutting to byte-identical results at every chunk size, thread
+// count and merge-join setting.
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
+#include "engine/group_merge.h"
+#include "optimizer/plan.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "util/rng.h"
@@ -252,6 +259,171 @@ TEST_F(StreamingTest, ThreePatternStreaming) {
       &stats);
   EXPECT_EQ(t.num_rows(), 4u);
   EXPECT_GT(stats.intermediate_rows, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Determinism differential for the streaming sink: each root kind (keyed
+// hash join, cross product, index join) with a residual root filter and
+// every mergeable aggregate, streaming more than 3 x kAggSliceRows passing
+// rows so that slice boundaries fall inside root windows.
+// ---------------------------------------------------------------------------
+
+class StreamingDifferentialTest : public ::testing::Test {
+ protected:
+  static constexpr int kItems = 200;
+  static constexpr int kCats = 4;
+
+  void SetUp() override {
+    std::string doc = "@prefix x: <http://x/> .\n";
+    util::Rng rng(4242);
+    for (int i = 0; i < kItems; ++i) {
+      const std::string item = "x:item" + std::to_string(i);
+      doc += item + " x:cat x:c" + std::to_string(i % kCats) + " .\n";
+      // Decimal prices with two fraction digits: binary floating point
+      // cannot represent most of them, so their sums depend on the
+      // accumulation order and expose any change to the slice tree.
+      doc += item + " x:price " + std::to_string(rng.Uniform(37)) + "." +
+             std::to_string(10 + rng.Uniform(90)) + " .\n";
+      doc += item + " x:rank " + std::to_string(rng.Uniform(10)) + " .\n";
+    }
+    ASSERT_TRUE(rdf::LoadTurtle(doc, &dict_, &store_).ok());
+    store_.Finalize();
+  }
+
+  struct Outcome {
+    BindingTable table;
+    /// Every cell decoded: aggregate outputs get fresh scratch ids in
+    /// each executor, so equal ids alone would not prove equal values.
+    std::vector<std::string> cells;
+    ExecutionStats stats;
+  };
+
+  Outcome Execute(const sparql::SelectQuery& query, const opt::PlanNode& plan,
+                  const ExecOptions& options) {
+    Executor exec(store_, static_cast<const rdf::Dictionary&>(dict_));
+    Outcome out;
+    auto result = exec.Execute(query, plan, &out.stats, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return out;
+    out.table = std::move(result).value();
+    for (size_t r = 0; r < out.table.num_rows(); ++r) {
+      for (size_t c = 0; c < out.table.num_vars(); ++c) {
+        const rdf::TermView t = exec.scratch_dict()->term(out.table.at(r, c));
+        out.cells.push_back(std::string(t.lexical) + "^^" +
+                            std::string(t.datatype));
+      }
+    }
+    return out;
+  }
+
+  /// Runs `query` under `plan` at chunk_rows {0, 1, 7, 1000, 1024} x exec
+  /// threads {1, 2, 4} x merge join on/off and checks every outcome
+  /// against the serial default run, byte for byte.
+  void RunDifferential(const std::string& text, const opt::PlanNode& plan,
+                       const std::string& label) {
+    auto parsed = sparql::ParseQuery(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const sparql::SelectQuery& query = *parsed;
+    const Outcome serial = Execute(query, plan, ExecOptions{});
+    ASSERT_GT(serial.table.num_rows(), 0u) << label;
+
+    // The filter must drop some rows yet leave more than three slices
+    // of rows to the sink: the COUNT column sums to the passing rows.
+    const size_t n_col = static_cast<size_t>(serial.table.VarIndex("n"));
+    double passing = 0;
+    for (size_t r = 0; r < serial.table.num_rows(); ++r) {
+      passing += std::stod(serial.cells[r * serial.table.num_vars() + n_col]);
+    }
+    EXPECT_LT(passing, static_cast<double>(serial.stats.intermediate_rows))
+        << label << ": the residual filter should drop some rows";
+    ASSERT_GT(passing, 3.0 * kAggSliceRows) << label;
+
+    for (uint64_t chunk : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                           uint64_t{1000}, uint64_t{1024}}) {
+      for (int threads : {1, 2, 4}) {
+        for (bool merge : {true, false}) {
+          ExecOptions options;
+          options.chunk_rows = chunk;
+          options.threads = threads;
+          options.enable_merge_join = merge;
+          const Outcome got = Execute(query, plan, options);
+          const std::string where = label + " chunk=" + std::to_string(chunk) +
+                                    " threads=" + std::to_string(threads) +
+                                    " merge=" + (merge ? "on" : "off");
+          EXPECT_TRUE(got.table == serial.table) << where;
+          EXPECT_EQ(got.cells, serial.cells) << where;
+          EXPECT_EQ(got.stats.intermediate_rows,
+                    serial.stats.intermediate_rows)
+              << where;
+          EXPECT_EQ(got.stats.scan_rows, serial.stats.scan_rows) << where;
+          EXPECT_EQ(got.stats.result_rows, serial.stats.result_rows) << where;
+        }
+      }
+    }
+  }
+
+  rdf::Dictionary dict_;
+  rdf::TripleStore store_;
+};
+
+constexpr const char* kAggregates =
+    "(AVG(?p) AS ?avg) (SUM(?p) AS ?sum) (MIN(?p) AS ?lo) (MAX(?p) AS ?hi) "
+    "(COUNT(?j) AS ?n)";
+
+TEST_F(StreamingDifferentialTest, KeyedHashJoinRoot) {
+  // Neither root input is a scan, so the root is a hash join on ?c; the
+  // filter spans both inputs, so only the root can apply it.
+  const std::string text =
+      std::string("SELECT ?c ") + kAggregates +
+      " WHERE { ?i <http://x/cat> ?c . ?i <http://x/price> ?p . "
+      "?j <http://x/cat> ?c . ?j <http://x/rank> ?r . FILTER(?p > ?r) } "
+      "GROUP BY ?c";
+  auto left = opt::PlanNode::MakeJoin(
+      opt::PlanNode::MakeScan(0, rdf::IndexOrder::kPOS),
+      opt::PlanNode::MakeScan(1, rdf::IndexOrder::kPOS), {"i"});
+  auto right = opt::PlanNode::MakeJoin(
+      opt::PlanNode::MakeScan(2, rdf::IndexOrder::kPOS),
+      opt::PlanNode::MakeScan(3, rdf::IndexOrder::kPOS), {"j"});
+  auto root =
+      opt::PlanNode::MakeJoin(std::move(left), std::move(right), {"c"});
+  RunDifferential(text, *root, "keyed hash join");
+}
+
+TEST_F(StreamingDifferentialTest, CrossProductRoot) {
+  // No shared variable between (ranked category-0 items) and (priced
+  // items with their categories): the root is a cross product, and the
+  // filter spans both of its inputs.
+  const std::string text =
+      std::string("SELECT ?r ") + kAggregates +
+      " WHERE { ?i <http://x/price> ?p . ?i <http://x/cat> ?c . "
+      "?j <http://x/cat> <http://x/c0> . ?j <http://x/rank> ?r . "
+      "FILTER(?p > ?r) } GROUP BY ?r";
+  auto build = opt::PlanNode::MakeJoin(
+      opt::PlanNode::MakeScan(2, rdf::IndexOrder::kPOS),
+      opt::PlanNode::MakeScan(3, rdf::IndexOrder::kPOS), {"j"});
+  auto probe = opt::PlanNode::MakeJoin(
+      opt::PlanNode::MakeScan(0, rdf::IndexOrder::kPOS),
+      opt::PlanNode::MakeScan(1, rdf::IndexOrder::kPOS), {"i"});
+  auto root = opt::PlanNode::MakeJoin(std::move(build), std::move(probe), {});
+  RunDifferential(text, *root, "cross product");
+}
+
+TEST_F(StreamingDifferentialTest, IndexJoinRoot) {
+  // The root probes ?j <cat> ?c per outer row; ?j is bound only there, so
+  // the constant-rhs filter on it is residual at the root. The outer is
+  // sorted on ?c, so with the hint the root runs as a merge sweep.
+  const std::string text =
+      std::string("SELECT ?c ") + kAggregates +
+      " WHERE { ?i <http://x/cat> ?c . ?i <http://x/price> ?p . "
+      "?j <http://x/cat> ?c . FILTER(?j != <http://x/item8>) } GROUP BY ?c";
+  auto outer = opt::PlanNode::MakeJoin(
+      opt::PlanNode::MakeScan(0, rdf::IndexOrder::kPOS),
+      opt::PlanNode::MakeScan(1, rdf::IndexOrder::kPOS), {"i"});
+  auto root = opt::PlanNode::MakeJoin(
+      std::move(outer), opt::PlanNode::MakeScan(2, rdf::IndexOrder::kPOS),
+      {"c"});
+  root->merge_join_hint = true;
+  RunDifferential(text, *root, "index join");
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 // or a hung connection. The live-server half of the corpus runs against a
 // loopback daemon bound to an ephemeral port (port 0).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <string>
 #include <vector>
@@ -200,6 +203,48 @@ TEST_F(ServerProtocolTest, PingEchoesPayload) {
                            "hello over the wire");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(*response, "hello over the wire");
+}
+
+/// TCP_NODELAY as getsockopt reads it back from `fd`.
+bool NoDelayOn(int fd) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+  return on != 0;
+}
+
+TEST_F(ServerProtocolTest, BothEndsOfAConnectionSetTcpNoDelay) {
+  Client client = Connect();
+  // A served ping proves the daemon has accepted the connection.
+  auto frame = client.Call(Opcode::kPing, "nodelay");
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_TRUE(NoDelayOn(client.fd())) << "client end (util::ConnectTcp)";
+
+  // The daemon runs in this process, so its end of the connection is one
+  // of our descriptors: the socket whose peer is the client's local
+  // address.
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  ASSERT_EQ(::getsockname(client.fd(), reinterpret_cast<sockaddr*>(&local),
+                          &len),
+            0);
+  int daemon_fd = -1;
+  for (int fd = 0; fd < 4096 && daemon_fd < 0; ++fd) {
+    if (fd == client.fd()) continue;
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) !=
+            0 ||
+        peer.sin_family != AF_INET) {
+      continue;
+    }
+    if (peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+      daemon_fd = fd;
+    }
+  }
+  ASSERT_GE(daemon_fd, 0) << "the daemon's end of the connection not found";
+  EXPECT_TRUE(NoDelayOn(daemon_fd)) << "daemon end (Server::AcceptLoop)";
 }
 
 TEST_F(ServerProtocolTest, ZeroLengthPayloadPingIsServed) {

@@ -33,6 +33,12 @@ those tests meaningful:
                        Result drops must go through util::IgnoreStatus
                        (greppable, carries a reason). Plain `(void)var;`
                        unused-binding suppressions stay legal.
+  incremental-reserve  No `x.reserve(x.size() + k)` in library code: called
+                       once per chunk it reallocates to exactly the new
+                       size every time, copying the whole buffer again
+                       (O(n^2 / chunk) copying plus a fresh large mapping
+                       per chunk). Grow geometrically instead
+                       (engine::GrowFor), or annotate a one-shot call.
 
 Suppression: append `lint:allow(<rule-id>): <reason>` in a comment on the
 offending line. The reason is mandatory prose for the reviewer; the lint only
@@ -177,6 +183,11 @@ UNORDERED_ITER_RE = re.compile(r"\bfor\s*\([^;)]*:\s*[^)]*\bunordered_")
 RAW_ASSERT_RE = re.compile(r"\bassert\s*\(")
 FLOAT_FMT_RE = re.compile(r"%[-+ #0-9.*]*[gGeEf](?![A-Za-z0-9_%])")
 VOID_DISCARD_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_][\w:.]*(?:->\w+)*\s*\(")
+# `recv.reserve(recv.size() + ...)` / `recv->reserve(recv->size() + ...)`
+# with the same receiver expression on both sides.
+INCREMENTAL_RESERVE_RE = re.compile(
+    r"(?<![\w.>])([A-Za-z_][\w.\[\]>-]*?)\s*(\.|->)\s*reserve\s*\(\s*"
+    r"\1\s*\2\s*size\s*\(\s*\)\s*\+")
 
 
 def expected_guard(rel):
@@ -264,6 +275,17 @@ def lint_file(root, rel, violations):
                        f"float conversion {m.group(0)!r} outside the "
                        "anchored %.17g protocol formatters; route through "
                        "util::FormatSig/FormatDuration or annotate")
+
+    # -- exact incremental reserves (library only).
+    if in_lib:
+        for ln, code_line in enumerate(code, 1):
+            m = INCREMENTAL_RESERVE_RE.search(code_line)
+            if m:
+                report(ln, "incremental-reserve",
+                       f"{m.group(1)}{m.group(2)}reserve({m.group(1)}"
+                       f"{m.group(2)}size() + ...) reallocates to the exact "
+                       "size on every call; grow geometrically "
+                       "(engine::GrowFor) or annotate a one-shot call")
 
     # -- (void) discards of call expressions (all trees).
     for ln, code_line in enumerate(code, 1):
