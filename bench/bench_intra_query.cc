@@ -55,8 +55,8 @@ bool RunCase(const Case& c, bsbm::Dataset* ds,
   }
 
   engine::Executor exec(ds->store, &ds->dict);
-  util::TablePrinter table({"exec-threads", "seconds", "speedup", "rows",
-                            "identical"});
+  util::TablePrinter table({"exec-threads", "first run s", "min s",
+                            "speedup", "rows", "identical"});
   engine::BindingTable baseline;
   engine::ExecutionStats baseline_stats;
   double serial_seconds = 0;
@@ -68,6 +68,7 @@ bool RunCase(const Case& c, bsbm::Dataset* ds,
     engine::BindingTable result;
     engine::ExecutionStats stats;
     double seconds = std::numeric_limits<double>::infinity();
+    double first_seconds = 0;
     for (int r = 0; r < std::max(reps, 1); ++r) {
       auto run = exec.Execute(c.query, *plan, &stats, options);
       if (!run.ok()) {
@@ -75,6 +76,7 @@ bool RunCase(const Case& c, bsbm::Dataset* ds,
                      run.status().ToString().c_str());
         return false;
       }
+      if (r == 0) first_seconds = stats.wall_seconds;
       seconds = std::min(seconds, stats.wall_seconds);
       result = std::move(run).value();
     }
@@ -88,6 +90,7 @@ bool RunCase(const Case& c, bsbm::Dataset* ds,
       all_identical = all_identical && identical;
     }
     table.AddRow({std::to_string(threads),
+                  util::StringPrintf("%.4f", first_seconds),
                   util::StringPrintf("%.4f", seconds),
                   util::StringPrintf("%.2fx", serial_seconds / seconds),
                   std::to_string(baseline.num_rows()),
@@ -109,7 +112,8 @@ int main(int argc, char** argv) {
   flags.AddInt64("products", &products, "BSBM scale");
   flags.AddInt64("max_threads", &max_threads, "highest exec-thread count");
   flags.AddInt64("morsel_size", &morsel_size, "probe rows per morsel");
-  flags.AddInt64("reps", &reps, "repetitions per config (min wall time kept)");
+  flags.AddInt64("reps", &reps,
+                 "repetitions per config (first-run and min wall time kept)");
   if (int rc = bench::ParseBenchArgs(argc, argv, &flags); rc >= 0) return rc;
 
   std::printf("generating BSBM dataset (%lld products)...\n",

@@ -77,6 +77,11 @@ Result<Classification> ClassificationSession::Classify(
     opt::BatchPrefillStats prefill = batch_.PrefillLeafCounts(candidates, fresh);
     last_stats_.batched_counts = prefill.batched_counts;
     last_stats_.unbatched_patterns = prefill.unbatched_patterns;
+    // Stage 1b — pair-join prefill: one count table per parameter-free
+    // side answers the exact pair-join count of every fresh value, so
+    // stage 2 finds them in the cache instead of counting per candidate.
+    last_stats_.prefilled_pair_joins =
+        batch_.PrefillPairJoins(candidates, fresh);
   }
 
   const size_t threads = util::ThreadPool::ResolveThreads(options_.threads);

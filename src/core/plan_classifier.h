@@ -63,6 +63,10 @@ struct ClassifyStats {
   /// parameter occurrences, or a constant absent from the data) — explains
   /// a low batched_counts on multi-parameter templates.
   uint64_t unbatched_patterns = 0;
+  /// Exact pair-join counts the stage-1b prefill computed into the cache
+  /// (kBatched only): one per qualifying pattern pair and distinct fresh
+  /// parameter value, skipping counts the cache already held.
+  uint64_t prefilled_pair_joins = 0;
   /// ClassificationSession only: candidates answered from the binding
   /// memo of earlier calls.
   uint64_t reused_candidates = 0;

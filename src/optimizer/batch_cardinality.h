@@ -1,7 +1,7 @@
 // Batched cardinality work for classifying many candidate bindings of one
 // query template.
 //
-// Two jobs, both feeding the classification hot loop:
+// Three jobs, all feeding the classification hot loop:
 //
 //  1. PrefillLeafCounts: every leaf count the optimizer will ask for —
 //     one per (triple pattern, candidate) combination — is computed up
@@ -10,6 +10,20 @@
 //     single co-sequential sweep over the covering index
 //     (TripleStore::CountPatternBatch) instead of one binary-search probe
 //     per candidate.
+//
+//  1b. PrefillPairJoins: the pair analogue. For a pattern pair whose one
+//     parameter sits on one side, the parameter-free side is scanned once
+//     into a per-key count table; each distinct parameter value's count
+//     is then a sum of table lookups over that value's index run, so the
+//     whole pair costs one scan plus time proportional to the parameter
+//     side. Entries land under exactly the key ExactPairJoinCount uses
+//     (both go through ResolvePairJoin and RoutePairJoin), and every
+//     count is an exact integer, so the cached values are the ones the
+//     estimator would compute itself. Values already cached are skipped,
+//     so a long-lived shared cache (the daemon's) pays for a table only
+//     while it still misses. A pair whose parameter-free side has keys
+//     too sparse for a dense array is left to ExactPairJoinCount's merge
+//     sweep.
 //
 //  2. Signature: the *cardinality signature* of one bound candidate — the
 //     bit patterns of every number the C_out join-ordering DP reads. The
@@ -25,7 +39,7 @@
 //     shared signature can never produce a different classification than
 //     the per-candidate path.
 //
-// Thread model: PrefillLeafCounts is called once, before workers start;
+// Thread model: the prefills are called once, before workers start;
 // Signature is const and safe to call from many threads concurrently (the
 // shared cache is internally synchronized).
 #ifndef RDFPARAMS_OPTIMIZER_BATCH_CARDINALITY_H_
@@ -72,6 +86,19 @@ class BatchCardinality {
   /// (indices into `candidates`, so callers with a partial fresh set need
   /// not copy bindings).
   BatchPrefillStats PrefillLeafCounts(
+      const std::vector<sparql::ParameterBinding>& candidates,
+      std::span<const size_t> which);
+
+  /// Pre-computes ExactPairJoinCount for every template pattern pair with
+  /// one shared variable (once on each side), exactly one parameter
+  /// occurrence on one side, none on the other, and a parameter-free side
+  /// of at most kDefaultPairJoinMaxWork triples — one cache entry per
+  /// distinct parameter value among candidates[i] for i in `which`.
+  /// Counts the cache already holds are skipped (a pair whose values are
+  /// all cached builds no table). A pair is skipped whole when its
+  /// parameter-free side's keys span more than four times its size.
+  /// Returns the number of pair counts computed and inserted.
+  uint64_t PrefillPairJoins(
       const std::vector<sparql::ParameterBinding>& candidates,
       std::span<const size_t> which);
 

@@ -177,56 +177,98 @@ int FindVarPosition(const sparql::TriplePattern& tp, const std::string& var,
   return count;
 }
 
-/// Resolves the pattern into a (s, p, o) id triple with wildcards for
-/// variables; false when a constant is absent from the data.
+/// Resolves the pattern into ids[0..2] = (s, p, o) with wildcards for
+/// variables and parameters; false when a constant is absent from the data.
 bool ResolvePattern(const sparql::TriplePattern& tp,
-                    const rdf::Dictionary& dict, rdf::TermId* s, rdf::TermId* p,
-                    rdf::TermId* o) {
+                    const rdf::Dictionary& dict, rdf::TermId* ids) {
   bool bound = false;
-  if (!ResolveSlot(tp.s, dict, s, &bound) && tp.s.is_const()) return false;
-  if (!ResolveSlot(tp.p, dict, p, &bound) && tp.p.is_const()) return false;
-  if (!ResolveSlot(tp.o, dict, o, &bound) && tp.o.is_const()) return false;
+  if (!ResolveSlot(tp.s, dict, &ids[0], &bound) && tp.s.is_const()) {
+    return false;
+  }
+  if (!ResolveSlot(tp.p, dict, &ids[1], &bound) && tp.p.is_const()) {
+    return false;
+  }
+  if (!ResolveSlot(tp.o, dict, &ids[2], &bound) && tp.o.is_const()) {
+    return false;
+  }
   return true;
 }
 
-/// Returns a copy of (s,p,o) with the slot at `pos` set to `value`.
-void BindPosition(rdf::TriplePos pos, rdf::TermId value, rdf::TermId* s,
-                  rdf::TermId* p, rdf::TermId* o) {
-  switch (pos) {
-    case rdf::TriplePos::kS: *s = value; break;
-    case rdf::TriplePos::kP: *p = value; break;
-    case rdf::TriplePos::kO: *o = value; break;
+/// Patterns of up to this many triples are counted by the merge sweep
+/// whatever the work budget.
+constexpr uint64_t kMergeSweepLimit = 4096;
+
+/// Merge-sweep kernel: the number of (small, big) triple pairs agreeing on
+/// small[small_pos] == big[big_pos]. The small side's keys go through one
+/// ascending PatternSweep over the big side, each distinct key's run
+/// measured once.
+uint64_t MergeSweepCount(const rdf::TripleStore& store,
+                         const rdf::Triple& small, rdf::TriplePos small_pos,
+                         const rdf::Triple& big, rdf::TriplePos big_pos) {
+  std::vector<TermId> keys;
+  {
+    auto range = store.Range(store.ChooseIndex(small.s, small.p, small.o),
+                             small.s, small.p, small.o);
+    keys.reserve(range.size());
+    for (const rdf::Triple& t : range) {
+      keys.push_back(rdf::GetPos(t, small_pos));
+    }
   }
+  std::sort(keys.begin(), keys.end());
+  // The three default permutations cover every bound-slot set, so the
+  // sweep always finds an index.
+  rdf::PatternSweep sweep(store, big_pos, big.s, big.p, big.o);
+  RDFPARAMS_DCHECK(sweep.valid());
+  uint64_t total = 0;
+  uint64_t run = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i == 0 || keys[i] != keys[i - 1]) run = sweep.Next(keys[i]).size();
+    total += run;
+  }
+  return total;
 }
 
 }  // namespace
+
+std::optional<PairJoinKey> ResolvePairJoin(const sparql::TriplePattern& a,
+                                           const sparql::TriplePattern& b,
+                                           const rdf::Dictionary& dict) {
+  // Exactly one shared variable, occurring once on each side.
+  std::vector<std::string> shared;
+  for (const std::string& v : a.Variables()) {
+    for (const std::string& w : b.Variables()) {
+      if (v == w) shared.push_back(v);
+    }
+  }
+  if (shared.size() != 1) return std::nullopt;
+  PairJoinKey key;
+  if (FindVarPosition(a, shared[0], &key.pos_a) != 1) return std::nullopt;
+  if (FindVarPosition(b, shared[0], &key.pos_b) != 1) return std::nullopt;
+  key.ids.fill(kWildcardId);
+  key.absent_constant = !ResolvePattern(a, dict, &key.ids[0]) ||
+                        !ResolvePattern(b, dict, &key.ids[3]);
+  return key;
+}
+
+PairJoinRoute RoutePairJoin(uint64_t size_a, uint64_t size_b,
+                            uint64_t max_work) {
+  if (size_a == 0 || size_b == 0) return PairJoinRoute::kEmpty;
+  if (std::min(size_a, size_b) > kMergeSweepLimit &&
+      size_a + size_b > max_work) {
+    return PairJoinRoute::kDeclined;
+  }
+  return PairJoinRoute::kCount;
+}
 
 std::optional<double> CardinalityEstimator::ExactPairJoinCount(
     const sparql::SelectQuery& query, size_t pattern_a, size_t pattern_b,
     uint64_t max_work) const {
   if (pattern_a >= query.patterns.size() || pattern_b >= query.patterns.size())
     return std::nullopt;
-  const sparql::TriplePattern& ta = query.patterns[pattern_a];
-  const sparql::TriplePattern& tb = query.patterns[pattern_b];
-
-  // Exactly one shared variable, occurring once on each side.
-  std::vector<std::string> shared;
-  for (const std::string& v : ta.Variables()) {
-    for (const std::string& w : tb.Variables()) {
-      if (v == w) shared.push_back(v);
-    }
-  }
-  if (shared.size() != 1) return std::nullopt;
-  rdf::TriplePos pos_a, pos_b;
-  if (FindVarPosition(ta, shared[0], &pos_a) != 1) return std::nullopt;
-  if (FindVarPosition(tb, shared[0], &pos_b) != 1) return std::nullopt;
-
-  rdf::TermId sa = rdf::kWildcardId, pa = rdf::kWildcardId,
-              oa = rdf::kWildcardId;
-  rdf::TermId sb = rdf::kWildcardId, pb = rdf::kWildcardId,
-              ob = rdf::kWildcardId;
-  if (!ResolvePattern(ta, dict_, &sa, &pa, &oa)) return 0.0;
-  if (!ResolvePattern(tb, dict_, &sb, &pb, &ob)) return 0.0;
+  std::optional<PairJoinKey> key = ResolvePairJoin(
+      query.patterns[pattern_a], query.patterns[pattern_b], dict_);
+  if (!key.has_value()) return std::nullopt;
+  if (key->absent_constant) return 0.0;
 
   // The whole result is a deterministic function of the resolved patterns
   // and join positions, so it can be memoized across candidate bindings.
@@ -234,68 +276,59 @@ std::optional<double> CardinalityEstimator::ExactPairJoinCount(
   // inputs are declined, so differently-budgeted calls must not alias.
   const bool cacheable =
       cache_ != nullptr && max_work == kDefaultPairJoinMaxWork;
-  const std::array<rdf::TermId, 6> pair_key = {sa, pa, oa, sb, pb, ob};
-  const auto pos_key_a = static_cast<uint8_t>(pos_a);
-  const auto pos_key_b = static_cast<uint8_t>(pos_b);
+  const auto pos_key_a = static_cast<uint8_t>(key->pos_a);
+  const auto pos_key_b = static_cast<uint8_t>(key->pos_b);
   if (cacheable) {
-    if (auto hit = cache_->LookupPairJoin(pair_key, pos_key_a, pos_key_b)) {
+    if (auto hit = cache_->LookupPairJoin(key->ids, pos_key_a, pos_key_b)) {
       return *hit;
     }
   }
   auto memoize = [&](std::optional<double> result) {
     if (cacheable) {
-      cache_->InsertPairJoin(pair_key, pos_key_a, pos_key_b, result);
+      cache_->InsertPairJoin(key->ids, pos_key_a, pos_key_b, result);
     }
     return result;
   };
 
-  uint64_t size_a = CachedCount(sa, pa, oa);
-  uint64_t size_b = CachedCount(sb, pb, ob);
-  if (size_a == 0 || size_b == 0) return memoize(0.0);
-
-  // Iterate the smaller side.
-  bool a_smaller = size_a <= size_b;
-  const sparql::TriplePattern& small_tp = a_smaller ? ta : tb;
-  rdf::TriplePos small_pos = a_smaller ? pos_a : pos_b;
-  rdf::TriplePos big_pos = a_smaller ? pos_b : pos_a;
-  rdf::TermId ss = a_smaller ? sa : sb, sp = a_smaller ? pa : pb,
-              so = a_smaller ? oa : ob;
-  rdf::TermId bs = a_smaller ? sb : sa, bp = a_smaller ? pb : pa,
-              bo = a_smaller ? ob : oa;
-  uint64_t small_size = std::min(size_a, size_b);
-  uint64_t big_size = std::max(size_a, size_b);
-  (void)small_tp;
-
-  constexpr uint64_t kPerValueLimit = 4096;
-  if (small_size <= kPerValueLimit) {
-    // Per-value counting: for each binding of the shared variable on the
-    // small side, binary-search the big side.
-    double total = 0;
-    auto range = store_.Range(store_.ChooseIndex(ss, sp, so), ss, sp, so);
-    for (const rdf::Triple& t : range) {
-      rdf::TermId v = rdf::GetPos(t, small_pos);
-      rdf::TermId qs = bs, qp = bp, qo = bo;
-      BindPosition(big_pos, v, &qs, &qp, &qo);
-      total += static_cast<double>(store_.CountPattern(qs, qp, qo));
-    }
-    return memoize(total);
+  const rdf::Triple a = key->side_a();
+  const rdf::Triple b = key->side_b();
+  const uint64_t size_a = CachedCount(a.s, a.p, a.o);
+  const uint64_t size_b = CachedCount(b.s, b.p, b.o);
+  switch (RoutePairJoin(size_a, size_b, max_work)) {
+    case PairJoinRoute::kEmpty:
+      return memoize(0.0);
+    case PairJoinRoute::kDeclined:
+      return memoize(std::nullopt);
+    case PairJoinRoute::kCount:
+      break;
   }
 
-  if (small_size + big_size > max_work) return memoize(std::nullopt);
+  // Iterate the smaller side.
+  const bool a_smaller = size_a <= size_b;
+  const rdf::Triple& small = a_smaller ? a : b;
+  const rdf::Triple& big = a_smaller ? b : a;
+  const rdf::TriplePos small_pos = a_smaller ? key->pos_a : key->pos_b;
+  const rdf::TriplePos big_pos = a_smaller ? key->pos_b : key->pos_a;
+  if (std::min(size_a, size_b) <= kMergeSweepLimit) {
+    return memoize(static_cast<double>(
+        MergeSweepCount(store_, small, small_pos, big, big_pos)));
+  }
 
   // Hash-count pass: value -> multiplicity from the small side, then sum
   // products over the big side.
   std::unordered_map<rdf::TermId, uint64_t> counts;
-  counts.reserve(small_size * 2);
+  counts.reserve(std::min(size_a, size_b) * 2);
   {
-    auto range = store_.Range(store_.ChooseIndex(ss, sp, so), ss, sp, so);
+    auto range = store_.Range(store_.ChooseIndex(small.s, small.p, small.o),
+                              small.s, small.p, small.o);
     for (const rdf::Triple& t : range) {
       ++counts[rdf::GetPos(t, small_pos)];
     }
   }
   double total = 0;
   {
-    auto range = store_.Range(store_.ChooseIndex(bs, bp, bo), bs, bp, bo);
+    auto range = store_.Range(store_.ChooseIndex(big.s, big.p, big.o), big.s,
+                              big.p, big.o);
     for (const rdf::Triple& t : range) {
       auto it = counts.find(rdf::GetPos(t, big_pos));
       if (it != counts.end()) total += static_cast<double>(it->second);

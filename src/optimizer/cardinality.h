@@ -9,12 +9,14 @@
 #ifndef RDFPARAMS_OPTIMIZER_CARDINALITY_H_
 #define RDFPARAMS_OPTIMIZER_CARDINALITY_H_
 
+#include <array>
 #include <map>
 #include <optional>
 #include <string>
 
 #include "optimizer/cardinality_cache.h"
 #include "rdf/dictionary.h"
+#include "rdf/triple.h"
 #include "rdf/triple_store.h"
 #include "sparql/algebra.h"
 #include "util/status.h"
@@ -51,16 +53,25 @@ class CardinalityEstimator {
                                    const RelationInfo& b);
 
   /// Exact cardinality of joining two *single* triple patterns on their
-  /// (single) shared variable, computed against the indexes:
-  ///   * if one pattern matches few triples, per-value counting on the
-  ///     other pattern (O(small * log N));
+  /// (single) shared variable: the number of triple pairs, one matching
+  /// each pattern, that agree on the shared variable. Computed against the
+  /// indexes:
+  ///   * small side <= 4096 triples: a merge sweep. The small side's
+  ///     shared-variable keys are sorted, and one ascending
+  ///     rdf::PatternSweep over the big side measures each distinct key's
+  ///     run once — O(k·log(n/k) + k) for k keys instead of k full-index
+  ///     binary searches;
   ///   * else a hash-count pass when both ranges fit `max_work`;
-  ///   * std::nullopt when too expensive or not applicable (0 or 2+ shared
-  ///     variables, repeated variables inside one pattern).
+  ///   * std::nullopt when too expensive (see RoutePairJoin) or not
+  ///     applicable (see ResolvePairJoin).
+  /// Every count is an integer far below 2^53, so the returned double is
+  /// exact whatever order the terms are summed in.
   /// This mirrors the pairwise join statistics real RDF optimizers keep and
   /// is what lets correlated parameters flip plans (paper E4).
   /// Results are cached (when a cache is attached) only for the default
   /// work budget, since the budget changes which inputs are declined.
+  /// BatchCardinality::PrefillPairJoins fills the same cache entries in
+  /// bulk through the same ResolvePairJoin / RoutePairJoin helpers.
   static constexpr uint64_t kDefaultPairJoinMaxWork = 1u << 20;
   std::optional<double> ExactPairJoinCount(
       const sparql::SelectQuery& query, size_t pattern_a, size_t pattern_b,
@@ -82,6 +93,41 @@ class CardinalityEstimator {
   const rdf::Dictionary& dict_;
   CardinalityCache* cache_ = nullptr;
 };
+
+/// One pattern pair resolved for exact join counting. `ids` holds side a's
+/// (s, p, o) then side b's, with kWildcardId at variables and at
+/// %parameter slots; with the shared variable's slot on each side it is
+/// the CardinalityCache key of the count.
+struct PairJoinKey {
+  std::array<rdf::TermId, 6> ids{};
+  rdf::TriplePos pos_a = rdf::TriplePos::kS;
+  rdf::TriplePos pos_b = rdf::TriplePos::kS;
+  /// A constant of either pattern is absent from the data: the count is 0
+  /// (returned without touching the cache).
+  bool absent_constant = false;
+
+  rdf::Triple side_a() const { return {ids[0], ids[1], ids[2]}; }
+  rdf::Triple side_b() const { return {ids[3], ids[4], ids[5]}; }
+};
+
+/// Resolves a pattern pair for ExactPairJoinCount; std::nullopt when the
+/// pair is not countable (zero or several shared variables, or the shared
+/// variable repeated inside one pattern).
+std::optional<PairJoinKey> ResolvePairJoin(const sparql::TriplePattern& a,
+                                           const sparql::TriplePattern& b,
+                                           const rdf::Dictionary& dict);
+
+/// How a resolved pair's count is settled once both leaf sizes are known.
+enum class PairJoinRoute : uint8_t {
+  kEmpty,     ///< a side matches nothing: the count is 0
+  kDeclined,  ///< both sides large and over `max_work`: std::nullopt
+  kCount,     ///< count exactly
+};
+
+/// The decline rule: kDeclined iff the smaller side exceeds the 4096-triple
+/// merge-sweep limit and both sides together exceed `max_work`.
+PairJoinRoute RoutePairJoin(uint64_t size_a, uint64_t size_b,
+                            uint64_t max_work);
 
 /// Heuristic selectivity of a filter op (used when the rhs is constant).
 double FilterSelectivity(sparql::CompareOp op, double distinct_values);

@@ -387,6 +387,7 @@ int CmdClassify(const Options& opt) {
     row("dp runs saved", stats.dp_runs_saved);
     row("batch-swept leaf counts", stats.batched_counts);
     row("unbatched patterns", stats.unbatched_patterns);
+    row("prefilled pair joins", stats.prefilled_pair_joins);
     stat_table.AddRow(
         {"cache hit rate",
          util::StringPrintf("%.1f%% (%llu / %llu)", stats.CacheHitRate() * 100,
