@@ -3,11 +3,12 @@
 // The storage contract (storage/snapshot.h): any corruption or format
 // violation is a clean DataLoss / ParseError — never a crash, hang, or
 // silently wrong store. The harness materializes the input bytes as a
-// snapshot file and opens it with and without the whole-file checksum
-// pass; inputs the strict pass accepts must also be accepted by the
-// relaxed pass and restore identical store shapes. The zero-copy (mmap)
-// open is run as a differential arm against the copied open: on any
-// accepted input both paths must restore the same dictionary and store.
+// snapshot file and opens it through the read path (MmapMode::kOff) with
+// and without the whole-file checksum pass; inputs the strict pass accepts
+// must also be accepted by the relaxed pass and restore identical store
+// shapes. The zero-copy (mmap) open is run as a differential arm against
+// the read path: on any accepted input both must restore the same
+// dictionary and store.
 #include <unistd.h>
 
 #include <cstdint>
@@ -52,14 +53,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto info = Snapshot::Inspect(TempPath());
   rdfparams::util::IgnoreStatus(info, "fuzz probe: crash/hang check only");
 
+  // Both read-path arms pin kOff: kAuto would map on most platforms and
+  // leave the differential below comparing mmap with mmap.
   OpenOptions strict;
   strict.verify_file_checksum = true;
-  strict.pool_pages = 16;  // small pool: exercise eviction during restore
+  strict.mmap = rdfparams::storage::MmapMode::kOff;
   auto opened = Snapshot::Open(TempPath(), strict);
 
   OpenOptions relaxed;
   relaxed.verify_file_checksum = false;
-  relaxed.pool_pages = 16;
+  relaxed.mmap = rdfparams::storage::MmapMode::kOff;
   auto reopened = Snapshot::Open(TempPath(), relaxed);
 
   if (opened.ok()) {
@@ -73,8 +76,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (!info.ok()) std::abort();
   }
 
-  // Differential arm: zero-copy vs copied. Forced-mmap accepts must
-  // match the copied open exactly (kAuto would hide Map failures).
+  // Differential arm: zero-copy vs read path. Forced-mmap accepts must
+  // match the read-path open exactly (kAuto would hide Map failures).
   if (rdfparams::util::MmapFile::Supported()) {
     OpenOptions mmapped = strict;
     mmapped.mmap = rdfparams::storage::MmapMode::kOn;

@@ -19,8 +19,7 @@
 //   * record sections (index runs): fixed 12-byte triples that never
 //     straddle a page — floor(payload / 12) triples per page, the rest
 //     zero padding — so triple i is addressable as (page, offset) without
-//     reading its neighbours. This is what makes the paged accessors and
-//     larger-than-memory scans O(1) per step.
+//     reading its neighbours, and a run decodes as one memcpy per page.
 //   * raw sections (v2 dictionary arena / records / hash): the payload
 //     fills entire pages with NO per-page CRC field, so the section's
 //     bytes are contiguous in the file and an mmap'd open can adopt them

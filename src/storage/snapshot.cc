@@ -4,18 +4,17 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "storage/buffer_pool.h"
-#include "storage/paged_reader.h"
 #include "storage/snapshot_file.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
-#include "util/mmap_file.h"
 
 namespace rdfparams::storage {
 
@@ -133,36 +132,114 @@ std::vector<rdf::IndexOrder> SerializedOrders(bool all_indexes) {
   return orders;
 }
 
-Status ReadIndexRun(BufferPool* pool, const SectionInfo& section,
-                    size_t dict_size, std::vector<rdf::Triple>* out) {
-  // Page-at-a-time bulk decode: one Fetch per page, then a straight
-  // memcpy of its fixed-size records (the serialized form is exactly the
-  // in-memory Triple layout on little-endian platforms), with one
-  // branch-free max-scan for the id bounds check afterwards — measurably
-  // faster than per-triple decode on multi-hundred-thousand-triple runs.
+/// Walks the pages of a byte-stream or record section over the image,
+/// handing `fn` each page's payload in order. With `verify_pages` each
+/// page CRC is checked before its payload is used.
+template <typename Fn>
+Status ForEachPayload(const SnapshotFile& file, const SectionInfo& section,
+                      bool verify_pages, Fn&& fn) {
+  const uint64_t page_size = file.page_size();
+  for (uint64_t i = 0; i < section.page_count; ++i) {
+    const uint64_t page_id = section.first_page + i;
+    std::span<const uint8_t> page =
+        file.image().subspan(page_id * page_size, page_size);
+    if (verify_pages) RDFPARAMS_RETURN_NOT_OK(VerifyPage(page_id, page));
+    fn(page.subspan(kPageCrcBytes));
+  }
+  return Status::OK();
+}
+
+/// A byte-stream section's payloads concatenated up to its byte_length.
+Result<std::string> GatherBytes(const SnapshotFile& file,
+                                const SectionInfo& section,
+                                bool verify_pages) {
+  std::string out;
+  out.reserve(section.byte_length);
+  RDFPARAMS_RETURN_NOT_OK(ForEachPayload(
+      file, section, verify_pages, [&](std::span<const uint8_t> payload) {
+        uint64_t n = std::min<uint64_t>(payload.size(),
+                                        section.byte_length - out.size());
+        out.append(reinterpret_cast<const char*>(payload.data()),
+                   static_cast<size_t>(n));
+      }));
+  return out;
+}
+
+/// A raw section's meaningful bytes, a view into the image. With
+/// `verify_section` the section CRC is checked first.
+Result<std::string_view> RawSection(const SnapshotFile& file,
+                                    const SectionInfo& section,
+                                    bool verify_section) {
+  std::string_view bytes(
+      reinterpret_cast<const char*>(file.image().data()) +
+          section.first_page * file.page_size(),
+      section.byte_length);
+  if (verify_section &&
+      util::Crc32Seeded(section.kind, bytes.data(), bytes.size()) !=
+          section.crc32) {
+    return Status::DataLoss(file.path() + ": section " +
+                            std::to_string(section.kind) +
+                            " checksum mismatch");
+  }
+  return bytes;
+}
+
+/// v1: re-intern terms in id order. Interning is what rebuilds the
+/// id<->term maps; the id check catches duplicate terms in the stream.
+Status DecodeDictionaryV1(std::string_view bytes, uint64_t count,
+                          rdf::Dictionary* dict) {
+  util::Decoder dec(bytes);
+  dict->Reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    rdf::Term term;
+    RDFPARAMS_ASSIGN_OR_RETURN(uint8_t kind, dec.ReadU8());
+    if (kind > static_cast<uint8_t>(rdf::TermKind::kLiteral)) {
+      return Status::ParseError("invalid term kind " + std::to_string(kind));
+    }
+    term.kind = static_cast<rdf::TermKind>(kind);
+    RDFPARAMS_ASSIGN_OR_RETURN(term.lexical, dec.ReadLengthPrefixed());
+    RDFPARAMS_ASSIGN_OR_RETURN(term.datatype, dec.ReadLengthPrefixed());
+    RDFPARAMS_ASSIGN_OR_RETURN(term.lang, dec.ReadLengthPrefixed());
+    if (dict->Intern(std::move(term)) != i) {
+      return Status::ParseError("duplicate term in snapshot dictionary");
+    }
+  }
+  if (!dec.done()) {
+    return Status::ParseError("dictionary section has " +
+                              std::to_string(dec.remaining()) +
+                              " trailing bytes");
+  }
+  return Status::OK();
+}
+
+Status ReadIndexRun(const SnapshotFile& file, const SectionInfo& section,
+                    bool verify_pages, size_t dict_size,
+                    std::vector<rdf::Triple>* out) {
+  // Page-at-a-time bulk decode: a straight memcpy of each page's
+  // fixed-size records (the serialized form is exactly the in-memory
+  // Triple layout on little-endian platforms), with one branch-free
+  // max-scan for the id bounds check afterwards — measurably faster than
+  // per-triple decode on multi-hundred-thousand-triple runs.
   static_assert(sizeof(rdf::Triple) == kTripleBytes);
   static_assert(std::is_trivially_copyable_v<rdf::Triple>);
-  const uint64_t per_page = TriplesPerPage(pool->page_size());
+  const uint64_t per_page = TriplesPerPage(file.page_size());
   out->clear();
   out->resize(section.item_count);
   uint64_t filled = 0;
-  uint64_t remaining = section.item_count;
-  for (uint64_t page = 0; remaining > 0; ++page) {
-    RDFPARAMS_ASSIGN_OR_RETURN(PageRef ref,
-                               pool->Fetch(section.first_page + page));
-    const uint8_t* p = ref.payload().data();
-    uint64_t n = std::min<uint64_t>(per_page, remaining);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out->data() + filled, p, n * kTripleBytes);
-    } else {
-      for (uint64_t i = 0; i < n; ++i, p += kTripleBytes) {
-        (*out)[filled + i] = rdf::Triple(
-            util::LoadU32(p), util::LoadU32(p + 4), util::LoadU32(p + 8));
-      }
-    }
-    filled += n;
-    remaining -= n;
-  }
+  RDFPARAMS_RETURN_NOT_OK(ForEachPayload(
+      file, section, verify_pages, [&](std::span<const uint8_t> payload) {
+        const uint8_t* p = payload.data();
+        uint64_t n = std::min<uint64_t>(per_page, section.item_count - filled);
+        if constexpr (std::endian::native == std::endian::little) {
+          std::memcpy(out->data() + filled, p, n * kTripleBytes);
+        } else {
+          for (uint64_t i = 0; i < n; ++i, p += kTripleBytes) {
+            (*out)[filled + i] = rdf::Triple(
+                util::LoadU32(p), util::LoadU32(p + 4), util::LoadU32(p + 8));
+          }
+        }
+        filled += n;
+      }));
   rdf::TermId max_id = 0;
   for (const rdf::Triple& t : *out) {
     max_id = std::max(max_id, std::max(t.s, std::max(t.p, t.o)));
@@ -318,59 +395,21 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
   OpenStats& stats = options.stats != nullptr ? *options.stats : discard;
   stats = OpenStats();
 
-  RDFPARAMS_ASSIGN_OR_RETURN(auto file, SnapshotFile::Open(path));
-  const SnapshotHeader& header = file->header();
+  RDFPARAMS_ASSIGN_OR_RETURN(SnapshotFile file,
+                             SnapshotFile::Open(path, options.mmap));
+  const SnapshotHeader& header = file.header();
   stats.format_version = header.version;
-  const uint64_t page_size = file->page_size();
+  stats.mmap_used = file.mapping() != nullptr;
 
-  // Map the file when asked (or by default when the platform can). kAuto
-  // degrades to the copied path on any mapping failure; kOn surfaces it.
-  std::shared_ptr<const util::MmapFile> mapping;
-  if (options.mmap != MmapMode::kOff) {
-    if (!util::MmapFile::Supported()) {
-      if (options.mmap == MmapMode::kOn) {
-        return Status::Unsupported(
-            path + ": mmap open requested but unsupported on this platform");
-      }
-    } else {
-      Result<std::shared_ptr<util::MmapFile>> mapped =
-          util::MmapFile::Map(path);
-      if (!mapped.ok()) {
-        if (options.mmap == MmapMode::kOn) return mapped.status();
-      } else if ((*mapped)->size() != header.page_count * page_size) {
-        if (options.mmap == MmapMode::kOn) {
-          return Status::IOError(
-              path + ": mapped size does not match snapshot geometry");
-        }
-      } else {
-        mapping = *std::move(mapped);
-      }
-    }
-  }
-  stats.mmap_used = mapping != nullptr;
-
+  // One verification rule in both modes: the whole-file CRC covers every
+  // byte before the footer, so once it passes the image is decoded with
+  // no further checks. Without it, each page CRC and raw-section CRC is
+  // checked before its bytes are used.
+  const bool verify_parts = !options.verify_file_checksum;
   if (options.verify_file_checksum) {
     Clock::time_point t0 = Clock::now();
-    if (mapping != nullptr) {
-      // CRC straight over the mapping — no second read of the file.
-      RDFPARAMS_RETURN_NOT_OK(file->VerifyFileChecksum(
-          std::span<const uint8_t>(mapping->data(), mapping->size())));
-    } else {
-      RDFPARAMS_RETURN_NOT_OK(file->VerifyFileChecksum());
-    }
+    RDFPARAMS_RETURN_NOT_OK(file.VerifyFileChecksum());
     stats.checksum_seconds = seconds_since(t0);
-  }
-
-  std::optional<BufferPool> pool;
-  if (mapping != nullptr) {
-    pool.emplace(file.get(), mapping);
-    if (options.verify_file_checksum) {
-      // The file CRC just verified every byte of this mapping; per-page
-      // CRC checks on the same bytes would only repeat the work.
-      pool->MarkAllVerified();
-    }
-  } else {
-    pool.emplace(file.get(), options.pool_pages);
   }
 
   OpenedSnapshot out;
@@ -378,11 +417,8 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
   Clock::time_point t_dict = Clock::now();
   if (header.version >= 2) {
     // v2: adopt the dictionary's wire sections verbatim — borrowed views
-    // into the mapping, or bulk-read into owned buffers. Raw pages have no
-    // page CRC, so every open still checks their bytes exactly once: the
-    // whole-file CRC covers them when enabled; otherwise (or whenever the
-    // bytes are re-read from disk, as in the copied path) the per-section
-    // CRC runs before adoption.
+    // into the mapping, or copies out of a read image (freed when Open
+    // returns).
     const SectionInfo* arena_s = header.FindSection(kSectionDictArena);
     const SectionInfo* records_s = header.FindSection(kSectionDictRecords);
     const SectionInfo* hash_s = header.FindSection(kSectionDictHash);
@@ -390,72 +426,35 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
       return Status::ParseError(path +
                                 ": snapshot is missing a dictionary section");
     }
-    if (mapping != nullptr) {
-      auto raw_view = [&](const SectionInfo& s) {
-        return std::string_view(
-            reinterpret_cast<const char*>(mapping->data()) +
-                s.first_page * page_size,
-            s.byte_length);
-      };
-      if (!options.verify_file_checksum) {
-        // The whole-file CRC already covers these exact mapped bytes when
-        // it runs; only when the caller opted out do the sections need
-        // their own check before adoption.
-        for (const SectionInfo* s : {arena_s, records_s, hash_s}) {
-          std::string_view bytes = raw_view(*s);
-          if (util::Crc32Seeded(s->kind, bytes.data(), bytes.size()) !=
-              s->crc32) {
-            return Status::DataLoss(path + ": section " +
-                                    std::to_string(s->kind) +
-                                    " checksum mismatch");
-          }
-        }
-      }
+    RDFPARAMS_ASSIGN_OR_RETURN(std::string_view arena,
+                               RawSection(file, *arena_s, verify_parts));
+    RDFPARAMS_ASSIGN_OR_RETURN(std::string_view records,
+                               RawSection(file, *records_s, verify_parts));
+    RDFPARAMS_ASSIGN_OR_RETURN(std::string_view slots,
+                               RawSection(file, *hash_s, verify_parts));
+    if (file.mapping() != nullptr) {
       RDFPARAMS_ASSIGN_OR_RETURN(
-          out.dict, rdf::Dictionary::Adopt(raw_view(*arena_s),
-                                           raw_view(*records_s),
-                                           raw_view(*hash_s),
-                                           records_s->item_count, mapping));
+          out.dict, rdf::Dictionary::Adopt(arena, records, slots,
+                                           records_s->item_count,
+                                           file.mapping()));
     } else {
-      std::string arena, records, slots;
-      RDFPARAMS_RETURN_NOT_OK(file->ReadRawSection(*arena_s, &arena));
-      RDFPARAMS_RETURN_NOT_OK(file->ReadRawSection(*records_s, &records));
-      RDFPARAMS_RETURN_NOT_OK(file->ReadRawSection(*hash_s, &slots));
       RDFPARAMS_ASSIGN_OR_RETURN(
-          out.dict, rdf::Dictionary::Adopt(std::move(arena),
-                                           std::move(records),
-                                           std::move(slots),
-                                           records_s->item_count));
+          out.dict, rdf::Dictionary::Adopt(
+                        std::string(arena), std::string(records),
+                        std::string(slots), records_s->item_count));
     }
   } else {
-    // v1: re-intern in id order. Interning is what rebuilds the id<->term
-    // maps; the id check catches duplicate terms in the stream.
     const SectionInfo* dict_section = header.FindSection(kSectionDictionary);
     if (dict_section == nullptr) {
       return Status::ParseError(path + ": snapshot has no dictionary section");
     }
-    PagedByteReader reader(&*pool, *dict_section);
-    out.dict.Reserve(dict_section->item_count);
-    for (uint64_t i = 0; i < dict_section->item_count; ++i) {
-      rdf::Term term;
-      RDFPARAMS_ASSIGN_OR_RETURN(uint8_t kind, reader.ReadU8());
-      if (kind > static_cast<uint8_t>(rdf::TermKind::kLiteral)) {
-        return Status::ParseError(path + ": invalid term kind " +
-                                  std::to_string(kind));
-      }
-      term.kind = static_cast<rdf::TermKind>(kind);
-      RDFPARAMS_ASSIGN_OR_RETURN(term.lexical, reader.ReadLengthPrefixed());
-      RDFPARAMS_ASSIGN_OR_RETURN(term.datatype, reader.ReadLengthPrefixed());
-      RDFPARAMS_ASSIGN_OR_RETURN(term.lang, reader.ReadLengthPrefixed());
-      if (out.dict.Intern(std::move(term)) != i) {
-        return Status::ParseError(path +
-                                  ": duplicate term in snapshot dictionary");
-      }
-    }
-    if (reader.remaining() != 0) {
-      return Status::ParseError(path + ": dictionary section has " +
-                                std::to_string(reader.remaining()) +
-                                " trailing bytes");
+    RDFPARAMS_ASSIGN_OR_RETURN(std::string bytes,
+                               GatherBytes(file, *dict_section, verify_parts));
+    Status decoded =
+        DecodeDictionaryV1(bytes, dict_section->item_count, &out.dict);
+    if (!decoded.ok()) {
+      // A record running past the section end is a format error too.
+      return Status::ParseError(path + ": " + decoded.message());
     }
   }
   stats.dict_seconds = seconds_since(t_dict);
@@ -469,7 +468,8 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
       return Status::ParseError(path + ": snapshot is missing the " +
                                 rdf::IndexOrderName(order) + " index run");
     }
-    RDFPARAMS_RETURN_NOT_OK(ReadIndexRun(&*pool, *section, out.dict.size(),
+    RDFPARAMS_RETURN_NOT_OK(ReadIndexRun(file, *section, verify_parts,
+                                         out.dict.size(),
                                          &runs[static_cast<size_t>(order)]));
   }
   RDFPARAMS_RETURN_NOT_OK(out.store.AdoptSortedRuns(
@@ -481,10 +481,8 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
   Clock::time_point t_meta = Clock::now();
   const SectionInfo* meta = header.FindSection(kSectionAppMeta);
   if (meta != nullptr) {
-    PagedByteReader reader(&*pool, *meta);
-    out.app_meta.resize(meta->byte_length);
-    RDFPARAMS_RETURN_NOT_OK(
-        reader.Read(out.app_meta.data(), out.app_meta.size()));
+    RDFPARAMS_ASSIGN_OR_RETURN(out.app_meta,
+                               GatherBytes(file, *meta, verify_parts));
     out.has_app_meta = true;
   }
   stats.meta_seconds = seconds_since(t_meta);
@@ -492,12 +490,12 @@ Result<OpenedSnapshot> Snapshot::Open(const std::string& path,
 }
 
 Result<SnapshotInfo> Snapshot::Inspect(const std::string& path) {
-  RDFPARAMS_ASSIGN_OR_RETURN(auto file, SnapshotFile::Open(path));
-  RDFPARAMS_RETURN_NOT_OK(file->VerifyFileChecksum());
+  RDFPARAMS_ASSIGN_OR_RETURN(SnapshotFile file,
+                             SnapshotFile::Open(path, MmapMode::kAuto));
+  RDFPARAMS_RETURN_NOT_OK(file.VerifyFileChecksum());
   SnapshotInfo info;
-  info.header = file->header();
-  info.file_size = file->header().page_count *
-                   static_cast<uint64_t>(file->page_size());
+  info.header = file.header();
+  info.file_size = file.image().size();
   return info;
 }
 

@@ -21,6 +21,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
 #include "storage/format.h"
+#include "storage/snapshot_file.h"
 #include "util/status.h"
 
 namespace rdfparams::storage {
@@ -33,34 +34,25 @@ struct SaveOptions {
   uint32_t format_version = kFormatVersion;
 };
 
-/// Whether Open memory-maps the file and borrows pages/dictionary bytes
-/// from the mapping instead of copying them.
-enum class MmapMode {
-  kOff,   ///< always copy (RandomAccessFile reads)
-  kOn,    ///< require mmap; fail if unavailable
-  kAuto,  ///< mmap when the platform supports it, else fall back to copy
-};
-
 /// Filled by Open when OpenOptions::stats is set: which path ran and where
 /// the time went. Phase seconds are wall-clock (steady_clock).
 struct OpenStats {
   uint32_t format_version = 0;
   bool mmap_used = false;
-  double checksum_seconds = 0;  ///< whole-file CRC verification pass
+  double checksum_seconds = 0;  ///< whole-file CRC pass over the image
   double dict_seconds = 0;      ///< dictionary restore (re-intern or adopt)
   double runs_seconds = 0;      ///< index-run decode + adoption
   double meta_seconds = 0;      ///< app-meta read
 };
 
 struct OpenOptions {
-  /// Buffer pool capacity in pages while restoring (copied mode only; a
-  /// borrowed pool has no frames).
-  size_t pool_pages = 256;
-  /// Verify the footer's whole-file CRC with a streaming pass before
-  /// decoding anything. Catches flips in padding and page CRC fields that
-  /// per-page checks cannot see; costs one sequential read of the file.
+  /// Verify the footer's whole-file CRC over the image before decoding
+  /// anything; nothing is checked again afterwards. Catches flips in
+  /// padding and page CRC fields that per-page checks cannot see. When
+  /// off, each page CRC and raw-section CRC is checked before its bytes
+  /// are used instead.
   bool verify_file_checksum = true;
-  /// Zero-copy open mode (see MmapMode).
+  /// How the file's image is loaded (see MmapMode).
   MmapMode mmap = MmapMode::kAuto;
   /// When non-null, receives open-path statistics and phase timings.
   OpenStats* stats = nullptr;
@@ -90,9 +82,10 @@ class Snapshot {
                      const rdf::TripleStore& store, std::string_view app_meta,
                      const std::string& path, const SaveOptions& options = {});
 
-  /// Opens a snapshot: verifies checksums, restores the dictionary (v2:
-  /// adopts the raw arena/records/hash sections verbatim, borrowed from
-  /// the mapping when mmap'd; v1: re-interns in id order), adopts the
+  /// Opens a snapshot: loads the file as one image (SnapshotFile),
+  /// verifies checksums, restores the dictionary (v2: adopts the raw
+  /// arena/records/hash sections verbatim, borrowed from the mapping when
+  /// mmap'd, copied otherwise; v1: re-interns in id order), adopts the
   /// index runs, and returns the restored parts. Output is byte-identical
   /// across format versions and open modes. Any corruption or format
   /// violation is a clean DataLoss / ParseError — never a crash or a

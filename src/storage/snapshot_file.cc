@@ -1,145 +1,87 @@
 #include "storage/snapshot_file.h"
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/string_util.h"
 
 namespace rdfparams::storage {
 
-Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
-    const std::string& path) {
-  RDFPARAMS_ASSIGN_OR_RETURN(auto file, util::RandomAccessFile::Open(path));
-  const uint64_t size = file->size();
+Result<SnapshotFile> SnapshotFile::Open(const std::string& path,
+                                        MmapMode mode) {
+  SnapshotFile file(path);
+  if (mode != MmapMode::kOff) {
+    // kAuto degrades to reading the file on any mapping failure (Map
+    // reports Unsupported on platforms without mmap); kOn surfaces it.
+    Result<std::shared_ptr<util::MmapFile>> mapped = util::MmapFile::Map(path);
+    if (mapped.ok()) {
+      file.mapping_ = *std::move(mapped);
+    } else if (mode == MmapMode::kOn) {
+      return mapped.status();
+    }
+  }
+  if (file.mapping_ == nullptr) {
+    RDFPARAMS_ASSIGN_OR_RETURN(file.copy_, util::ReadFileToString(path));
+  }
+  RDFPARAMS_RETURN_NOT_OK(file.Validate());
+  return file;
+}
+
+Status SnapshotFile::Validate() {
+  const std::span<const uint8_t> bytes = image();
+  const uint64_t size = bytes.size();
   if (size == 0) {
-    return Status::ParseError(path + ": empty file is not a snapshot");
+    return Status::ParseError(path_ + ": empty file is not a snapshot");
   }
   if (size < kMinPageSize) {
-    return Status::ParseError(path + ": file smaller than a snapshot page");
+    return Status::ParseError(path_ + ": file smaller than a snapshot page");
   }
 
   // Bootstrap: magic / version / page_size live at fixed offsets right
   // after the header page's CRC, so they can be read before the page size
   // (and hence the CRC span) is known.
-  uint8_t prologue[kPageCrcBytes + sizeof(kHeaderMagic) + 8];
-  RDFPARAMS_RETURN_NOT_OK(
-      file->ReadExact(0, std::span<uint8_t>(prologue, sizeof(prologue))));
-  if (std::memcmp(prologue + kPageCrcBytes, kHeaderMagic,
-                  sizeof(kHeaderMagic)) != 0) {
-    return Status::ParseError(path + ": not a rdfparams snapshot (bad magic)");
+  const uint8_t* prologue = bytes.data() + kPageCrcBytes;
+  if (std::memcmp(prologue, kHeaderMagic, sizeof(kHeaderMagic)) != 0) {
+    return Status::ParseError(path_ + ": not a rdfparams snapshot (bad magic)");
   }
-  uint32_t version =
-      util::LoadU32(prologue + kPageCrcBytes + sizeof(kHeaderMagic));
+  uint32_t version = util::LoadU32(prologue + sizeof(kHeaderMagic));
   if (version < kMinFormatVersion || version > kFormatVersion) {
-    return Status::ParseError(path + ": unsupported snapshot version " +
+    return Status::ParseError(path_ + ": unsupported snapshot version " +
                               std::to_string(version));
   }
-  uint32_t page_size =
-      util::LoadU32(prologue + kPageCrcBytes + sizeof(kHeaderMagic) + 4);
+  uint32_t page_size = util::LoadU32(prologue + sizeof(kHeaderMagic) + 4);
   if (!ValidPageSize(page_size)) {
-    return Status::ParseError(path + ": invalid snapshot page size " +
+    return Status::ParseError(path_ + ": invalid snapshot page size " +
                               std::to_string(page_size));
   }
   if (size % page_size != 0 || size / page_size < 2) {
-    return Status::ParseError(path + ": truncated snapshot (size " +
+    return Status::ParseError(path_ + ": truncated snapshot (size " +
                               std::to_string(size) + " is not a whole number "
                               "of pages with a header and a footer)");
   }
 
   // Full header page: CRC, then the complete decode.
-  std::vector<uint8_t> page(page_size);
-  RDFPARAMS_RETURN_NOT_OK(file->ReadExact(0, page));
+  std::span<const uint8_t> page = bytes.first(page_size);
   RDFPARAMS_RETURN_NOT_OK(VerifyPage(0, page));
   RDFPARAMS_ASSIGN_OR_RETURN(
-      SnapshotHeader header,
-      DecodeHeaderPayload(std::span<const uint8_t>(page).subspan(kPageCrcBytes),
-                          size));
+      header_, DecodeHeaderPayload(page.subspan(kPageCrcBytes), size));
 
   // Footer page: CRC, magic, page-count agreement; remember the file CRC.
-  uint64_t footer_id = header.page_count - 1;
-  RDFPARAMS_RETURN_NOT_OK(file->ReadExact(footer_id * page_size, page));
+  uint64_t footer_id = header_.page_count - 1;
+  page = bytes.subspan(footer_id * page_size, page_size);
   RDFPARAMS_RETURN_NOT_OK(VerifyPage(footer_id, page));
   RDFPARAMS_ASSIGN_OR_RETURN(
-      uint32_t footer_crc,
-      DecodeFooterPayload(std::span<const uint8_t>(page).subspan(kPageCrcBytes),
-                          header.page_count));
-
-  return std::unique_ptr<SnapshotFile>(new SnapshotFile(
-      std::move(file), std::move(header), footer_crc, path));
-}
-
-Status SnapshotFile::ReadPage(uint64_t page_id, std::span<uint8_t> out) const {
-  RDFPARAMS_DCHECK(out.size() == page_size());
-  if (page_id >= page_count()) {
-    return Status::OutOfRange("page " + std::to_string(page_id) +
-                              " beyond snapshot end");
-  }
-  if (IsRawPage(page_id)) {
-    return Status::InvalidArgument("page " + std::to_string(page_id) +
-                                   " belongs to a raw section");
-  }
-  RDFPARAMS_RETURN_NOT_OK(
-      file_->ReadExact(page_id * static_cast<uint64_t>(page_size()), out));
-  return VerifyPage(page_id, out);
-}
-
-bool SnapshotFile::IsRawPage(uint64_t page_id) const {
-  for (const SectionInfo& s : header_.sections) {
-    if (IsRawSectionKind(s.kind) && s.page_count > 0 &&
-        page_id >= s.first_page && page_id < s.first_page + s.page_count) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Status SnapshotFile::ReadRawSection(const SectionInfo& section,
-                                    std::string* out) const {
-  RDFPARAMS_DCHECK(IsRawSectionKind(section.kind));
-  out->resize(section.byte_length);
-  if (section.byte_length > 0) {
-    RDFPARAMS_RETURN_NOT_OK(file_->ReadExact(
-        section.first_page * static_cast<uint64_t>(page_size()),
-        std::span<uint8_t>(reinterpret_cast<uint8_t*>(out->data()),
-                           out->size())));
-  }
-  uint32_t crc = util::Crc32Seeded(section.kind, out->data(), out->size());
-  if (crc != section.crc32) {
-    return Status::DataLoss(path_ + ": section " +
-                            std::to_string(section.kind) +
-                            " checksum mismatch");
-  }
+      footer_file_crc_,
+      DecodeFooterPayload(page.subspan(kPageCrcBytes), header_.page_count));
   return Status::OK();
 }
 
 Status SnapshotFile::VerifyFileChecksum() const {
   const uint64_t covered =
       (page_count() - 1) * static_cast<uint64_t>(page_size());
-  std::vector<uint8_t> chunk(1 << 20);
-  uint32_t crc = 0;
-  uint64_t offset = 0;
-  while (offset < covered) {
-    size_t n = static_cast<size_t>(
-        std::min<uint64_t>(chunk.size(), covered - offset));
-    RDFPARAMS_RETURN_NOT_OK(
-        file_->ReadExact(offset, std::span<uint8_t>(chunk.data(), n)));
-    crc = util::Crc32Extend(crc, chunk.data(), n);
-    offset += n;
-  }
-  if (crc != footer_file_crc_) {
-    return Status::DataLoss(path_ + ": whole-file checksum mismatch");
-  }
-  return Status::OK();
-}
-
-Status SnapshotFile::VerifyFileChecksum(
-    std::span<const uint8_t> file_bytes) const {
-  const uint64_t covered =
-      (page_count() - 1) * static_cast<uint64_t>(page_size());
-  RDFPARAMS_DCHECK(file_bytes.size() >= covered);
-  if (util::Crc32(file_bytes.data(), covered) != footer_file_crc_) {
+  if (util::Crc32(image().data(), covered) != footer_file_crc_) {
     return Status::DataLoss(path_ + ": whole-file checksum mismatch");
   }
   return Status::OK();

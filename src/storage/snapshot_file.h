@@ -1,74 +1,79 @@
-// SnapshotFile: a validated, read-only handle on one snapshot file.
+// SnapshotFile: one snapshot file held as a single in-memory image — a
+// read-only mapping of the whole file, or an owned copy of it — with its
+// structure validated.
 //
-// Open() performs the cheap structural checks (size, header page CRC,
-// header decode, footer page CRC, footer/header agreement) so every
-// consumer — the BufferPool, the snapshot opener, the CLI inspector —
-// starts from a file whose geometry is known good. Page payloads are only
-// checked as they are read (ReadPage verifies the per-page CRC);
-// VerifyFileChecksum() streams the whole file against the footer CRC for
-// the paranoid full check the snapshot opener runs by default.
+// Open() loads the image and performs the cheap structural checks (size,
+// magic, version, page size, header page CRC and decode, footer page CRC
+// and decode, page-count agreement), so every consumer — the snapshot
+// opener, the CLI inspector — starts from an image whose geometry is known
+// good: every section's pages lie inside it. Section payloads are not
+// checked here; VerifyFileChecksum() covers every byte before the footer
+// in one pass, and the opener checks page and section CRCs itself when
+// that pass is off.
 #ifndef RDFPARAMS_STORAGE_SNAPSHOT_FILE_H_
 #define RDFPARAMS_STORAGE_SNAPSHOT_FILE_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "storage/format.h"
-#include "util/file_io.h"
+#include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace rdfparams::storage {
 
+/// How a snapshot's image is loaded. Both ways yield the same bytes; a
+/// mapping additionally lets the dictionary borrow them instead of copying.
+enum class MmapMode {
+  kOff,   ///< read the whole file into memory
+  kOn,    ///< map the file; fail if mapping is unsupported or fails
+  kAuto,  ///< map when possible, else read the file into memory
+};
+
 class SnapshotFile {
  public:
-  /// Opens and structurally validates a snapshot. Fails with a clean
-  /// ParseError / DataLoss / IOError on anything malformed: zero-length
-  /// or truncated files, wrong magic/version/page size, header or footer
-  /// corruption.
-  [[nodiscard]] static Result<std::unique_ptr<SnapshotFile>> Open(const std::string& path);
+  /// Loads `path` as one image per `mode` and validates its structure.
+  /// Fails with a clean ParseError / DataLoss / IOError on anything
+  /// malformed: zero-length or truncated files, wrong magic/version/page
+  /// size, header or footer corruption. Under kOn, a file that cannot be
+  /// mapped fails with the mapping's Unsupported / IOError.
+  [[nodiscard]] static Result<SnapshotFile> Open(const std::string& path,
+                                                 MmapMode mode);
 
   const SnapshotHeader& header() const { return header_; }
   uint32_t page_size() const { return header_.page_size; }
   uint64_t page_count() const { return header_.page_count; }
   const std::string& path() const { return path_; }
 
-  /// Reads page `page_id` (full page bytes, CRC verified) into `out`,
-  /// which must be exactly page_size() bytes. Refuses raw-section pages:
-  /// they carry no per-page CRC, so VerifyPage would misfire on them.
-  [[nodiscard]] Status ReadPage(uint64_t page_id, std::span<uint8_t> out) const;
+  /// The whole file, page_count() * page_size() bytes.
+  std::span<const uint8_t> image() const {
+    if (mapping_ != nullptr) return {mapping_->data(), mapping_->size()};
+    return {reinterpret_cast<const uint8_t*>(copy_.data()), copy_.size()};
+  }
 
-  /// True when `page_id` falls inside a raw (uncrc'd, contiguous) section.
-  bool IsRawPage(uint64_t page_id) const;
+  /// The mapping backing image(), or null when the image is a copy.
+  const std::shared_ptr<const util::MmapFile>& mapping() const {
+    return mapping_;
+  }
 
-  /// Reads a raw section's meaningful bytes into `out` and verifies the
-  /// section CRC stored in its table entry. DataLoss on mismatch.
-  [[nodiscard]] Status ReadRawSection(const SectionInfo& section,
-                                      std::string* out) const;
-
-  /// Streams the entire file and compares against the footer's whole-file
-  /// CRC. Catches flips in padding or CRC fields that no payload read
-  /// would ever touch.
+  /// Compares the image against the footer's whole-file CRC, which covers
+  /// every byte before the footer page: payloads, page CRC fields, padding
+  /// and raw sections alike. DataLoss on mismatch.
   [[nodiscard]] Status VerifyFileChecksum() const;
 
-  /// Same check over an in-memory image of the file (an mmap'd open
-  /// passes its mapping to skip the re-read). `file_bytes` must be the
-  /// whole file.
-  [[nodiscard]] Status VerifyFileChecksum(
-      std::span<const uint8_t> file_bytes) const;
-
  private:
-  SnapshotFile(std::unique_ptr<util::RandomAccessFile> file,
-               SnapshotHeader header, uint32_t footer_crc, std::string path)
-      : file_(std::move(file)),
-        header_(std::move(header)),
-        footer_file_crc_(footer_crc),
-        path_(std::move(path)) {}
+  explicit SnapshotFile(std::string path) : path_(std::move(path)) {}
 
-  std::unique_ptr<util::RandomAccessFile> file_;
-  SnapshotHeader header_;
-  uint32_t footer_file_crc_;
+  [[nodiscard]] Status Validate();
+
   std::string path_;
+  std::shared_ptr<const util::MmapFile> mapping_;
+  std::string copy_;  ///< the image when it is not mapped
+  SnapshotHeader header_;
+  uint32_t footer_file_crc_ = 0;
 };
 
 }  // namespace rdfparams::storage

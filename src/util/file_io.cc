@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -19,46 +18,6 @@ Status Errno(const std::string& what, const std::string& path) {
 constexpr size_t kWriteBufferBytes = 1 << 20;
 
 }  // namespace
-
-Result<std::unique_ptr<RandomAccessFile>> RandomAccessFile::Open(
-    const std::string& path) {
-  int fd;
-  do {
-    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) return Errno("open", path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status err = Errno("stat", path);
-    ::close(fd);
-    return err;
-  }
-  return std::unique_ptr<RandomAccessFile>(
-      new RandomAccessFile(fd, static_cast<uint64_t>(st.st_size), path));
-}
-
-RandomAccessFile::~RandomAccessFile() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status RandomAccessFile::ReadExact(uint64_t offset,
-                                   std::span<uint8_t> out) const {
-  size_t done = 0;
-  while (done < out.size()) {
-    ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
-                        static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pread", path_);
-    }
-    if (n == 0) {
-      return Status::IOError("short read at offset " + std::to_string(offset) +
-                             " in " + path_);
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 Result<std::unique_ptr<SequentialFileWriter>> SequentialFileWriter::Create(
     const std::string& path) {

@@ -1,47 +1,20 @@
-// Positional file I/O for the storage layer.
+// File output for the storage layer.
 //
-// RandomAccessFile wraps an O_RDONLY descriptor with EINTR-safe pread —
-// many BufferPool readers can share one instance because pread carries its
-// own offset (no shared file cursor). SequentialFileWriter appends through
-// a user-space buffer and supports an atomic finish: content is written to
-// `path + ".tmp"` and renamed into place, so a crashed save never leaves a
-// half-written snapshot under the final name.
+// SequentialFileWriter appends through a user-space buffer and supports an
+// atomic finish: content is written to `path + ".tmp"` and renamed into
+// place, so a crashed save never leaves a half-written snapshot under the
+// final name. (Snapshots are read back whole: util::MmapFile or
+// util::ReadFileToString.)
 #ifndef RDFPARAMS_UTIL_FILE_IO_H_
 #define RDFPARAMS_UTIL_FILE_IO_H_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "util/status.h"
 
 namespace rdfparams::util {
-
-/// Read-only random-access file. Thread-safe: pread has no shared cursor.
-class RandomAccessFile {
- public:
-  [[nodiscard]] static Result<std::unique_ptr<RandomAccessFile>> Open(
-      const std::string& path);
-  ~RandomAccessFile();
-  RandomAccessFile(const RandomAccessFile&) = delete;
-  RandomAccessFile& operator=(const RandomAccessFile&) = delete;
-
-  uint64_t size() const { return size_; }
-  const std::string& path() const { return path_; }
-
-  /// Reads exactly out.size() bytes at `offset`; fails (kIOError) on EOF
-  /// short reads — the storage layer always knows the exact length.
-  [[nodiscard]] Status ReadExact(uint64_t offset, std::span<uint8_t> out) const;
-
- private:
-  RandomAccessFile(int fd, uint64_t size, std::string path)
-      : fd_(fd), size_(size), path_(std::move(path)) {}
-
-  int fd_;
-  uint64_t size_;
-  std::string path_;
-};
 
 /// Buffered append-only writer with write-to-temp + rename-on-finish.
 class SequentialFileWriter {

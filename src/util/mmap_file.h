@@ -1,11 +1,12 @@
 // MmapFile: a read-only memory mapping of a whole file.
 //
-// The zero-copy substrate for snapshot opens: the storage layer hands
-// string_views into the mapping to consumers (dictionary arena, buffer
-// pool borrowed frames) and keeps the mapping alive with a shared_ptr, so
-// the views outlive any one opener scope. On platforms without mmap,
-// Supported() is false and callers fall back to RandomAccessFile reads —
-// the copied path is always available and byte-identical in output.
+// The zero-copy substrate for snapshot opens: the storage layer decodes
+// the whole snapshot image straight from the mapping, hands string_views
+// into it to the dictionary, and keeps the mapping alive with a
+// shared_ptr, so the views outlive any one opener scope. On platforms
+// without mmap, Supported() is false and callers read the file into
+// memory instead (util::ReadFileToString) — that path is always available
+// and byte-identical in output.
 #ifndef RDFPARAMS_UTIL_MMAP_FILE_H_
 #define RDFPARAMS_UTIL_MMAP_FILE_H_
 

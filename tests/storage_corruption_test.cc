@@ -3,12 +3,15 @@
 // silently wrong store. Covers a bit flip in every page (header,
 // dictionary, index runs, app meta, footer; CRC fields, payload, and
 // padding alike), truncation at every page boundary and mid-page, wrong
-// magic / version / page size, and zero-length / sub-page files.
+// magic / version / page size, and zero-length / sub-page files. Every
+// case opens through the read path (MmapMode::kOff) and, where the
+// platform can map, through the zero-copy path (MmapMode::kOn).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
@@ -55,8 +58,15 @@ class StorageCorruptionTest : public ::testing::Test {
 
     // The pristine image must open cleanly — otherwise every "corruption
     // detected" assertion below would be vacuous.
-    auto opened = Snapshot::Open(*path_);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (MmapMode mode : Modes()) {
+      for (bool verify_file_checksum : {true, false}) {
+        OpenOptions options;
+        options.mmap = mode;
+        options.verify_file_checksum = verify_file_checksum;
+        auto opened = Snapshot::Open(*path_, options);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      }
+    }
   }
 
   static void TearDownTestSuite() {
@@ -76,35 +86,58 @@ class StorageCorruptionTest : public ::testing::Test {
     return path;
   }
 
-  /// Opening `bytes` as a snapshot must fail cleanly (DataLoss for
-  /// checksum damage, ParseError for format damage — never OK).
+  /// The open modes every case runs through: the read path always, the
+  /// zero-copy path where the platform can map.
+  static std::vector<MmapMode> Modes() {
+    std::vector<MmapMode> modes = {MmapMode::kOff};
+    if (util::MmapFile::Supported()) modes.push_back(MmapMode::kOn);
+    return modes;
+  }
+
+  static const char* ModeName(MmapMode mode) {
+    return mode == MmapMode::kOff ? "read" : "mmap";
+  }
+
+  /// Opening `bytes` as a snapshot must fail cleanly in every mode
+  /// (DataLoss for checksum damage, ParseError for format damage — never
+  /// OK).
   static void ExpectOpenFails(const std::string& bytes, const char* what,
                               bool verify_file_checksum = true) {
     std::string path = WriteScratch(bytes);
-    OpenOptions options;
-    options.verify_file_checksum = verify_file_checksum;
-    auto opened = Snapshot::Open(path, options);
-    EXPECT_FALSE(opened.ok()) << what << ": corruption not detected";
-    if (!opened.ok()) {
-      StatusCode code = opened.status().code();
-      EXPECT_TRUE(code == StatusCode::kDataLoss ||
-                  code == StatusCode::kParseError ||
-                  code == StatusCode::kInvalidArgument)
-          << what << ": unexpected status " << opened.status().ToString();
+    for (MmapMode mode : Modes()) {
+      OpenOptions options;
+      options.mmap = mode;
+      options.verify_file_checksum = verify_file_checksum;
+      auto opened = Snapshot::Open(path, options);
+      EXPECT_FALSE(opened.ok())
+          << what << " (" << ModeName(mode) << "): corruption not detected";
+      if (!opened.ok()) {
+        StatusCode code = opened.status().code();
+        EXPECT_TRUE(code == StatusCode::kDataLoss ||
+                    code == StatusCode::kParseError ||
+                    code == StatusCode::kInvalidArgument)
+            << what << " (" << ModeName(mode) << "): unexpected status "
+            << opened.status().ToString();
+      }
     }
     std::remove(path.c_str());
   }
 
-  /// Opening `bytes` through the zero-copy path must fail cleanly too.
-  static void ExpectMmapOpenFails(const std::string& bytes, const char* what,
-                                  bool verify_file_checksum) {
-    if (!util::MmapFile::Supported()) return;
+  /// Opening `bytes` must fail in every mode with ParseError naming
+  /// `needle`.
+  static void ExpectParseError(const std::string& bytes,
+                               const std::string& needle) {
     std::string path = WriteScratch(bytes);
-    OpenOptions options;
-    options.mmap = MmapMode::kOn;
-    options.verify_file_checksum = verify_file_checksum;
-    auto opened = Snapshot::Open(path, options);
-    EXPECT_FALSE(opened.ok()) << what << ": mmap open missed the corruption";
+    for (MmapMode mode : Modes()) {
+      OpenOptions options;
+      options.mmap = mode;
+      auto opened = Snapshot::Open(path, options);
+      ASSERT_FALSE(opened.ok()) << ModeName(mode);
+      EXPECT_EQ(opened.status().code(), StatusCode::kParseError)
+          << ModeName(mode);
+      EXPECT_NE(opened.status().message().find(needle), std::string::npos)
+          << ModeName(mode) << ": " << opened.status().ToString();
+    }
     std::remove(path.c_str());
   }
 
@@ -160,12 +193,7 @@ TEST_F(StorageCorruptionTest, MidPageTruncationIsDetected) {
 }
 
 TEST_F(StorageCorruptionTest, ZeroLengthFileIsRejected) {
-  std::string path = WriteScratch("");
-  auto opened = Snapshot::Open(path);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
-  EXPECT_NE(opened.status().message().find("empty"), std::string::npos);
-  std::remove(path.c_str());
+  ExpectParseError("", "empty");
 }
 
 TEST_F(StorageCorruptionTest, SubPageFileIsRejected) {
@@ -175,25 +203,13 @@ TEST_F(StorageCorruptionTest, SubPageFileIsRejected) {
 TEST_F(StorageCorruptionTest, WrongMagicIsRejected) {
   std::string corrupt = *image_;
   corrupt[kPageCrcBytes] = 'X';  // first magic byte
-  std::string path = WriteScratch(corrupt);
-  auto opened = Snapshot::Open(path);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
-  EXPECT_NE(opened.status().message().find("magic"), std::string::npos)
-      << opened.status().ToString();
-  std::remove(path.c_str());
+  ExpectParseError(corrupt, "magic");
 }
 
 TEST_F(StorageCorruptionTest, WrongVersionIsRejected) {
   std::string corrupt = *image_;
   corrupt[kPageCrcBytes + sizeof(kHeaderMagic)] = 99;  // version u32 LSB
-  std::string path = WriteScratch(corrupt);
-  auto opened = Snapshot::Open(path);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
-  EXPECT_NE(opened.status().message().find("version"), std::string::npos)
-      << opened.status().ToString();
-  std::remove(path.c_str());
+  ExpectParseError(corrupt, "version");
 }
 
 TEST_F(StorageCorruptionTest, WrongPageSizeIsRejected) {
@@ -202,13 +218,7 @@ TEST_F(StorageCorruptionTest, WrongPageSizeIsRejected) {
   size_t off = kPageCrcBytes + sizeof(kHeaderMagic) + 4;
   corrupt[off] = 1;
   corrupt[off + 1] = 2;
-  std::string path = WriteScratch(corrupt);
-  auto opened = Snapshot::Open(path);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
-  EXPECT_NE(opened.status().message().find("page size"), std::string::npos)
-      << opened.status().ToString();
-  std::remove(path.c_str());
+  ExpectParseError(corrupt, "page size");
 }
 
 TEST_F(StorageCorruptionTest, SwappedPagesAreDetected) {
@@ -225,8 +235,8 @@ TEST_F(StorageCorruptionTest, SwappedPagesAreDetected) {
 
 // ---------------------------------------------------------------------------
 // v2 raw sections (dictionary arena / records / hash): no per-page CRC,
-// so damage there must be caught by the whole-file pass, by the section
-// CRC when that pass is off, and identically through the mmap path.
+// so damage there must be caught by the whole-file pass, and by the
+// section CRC when that pass is off.
 // ---------------------------------------------------------------------------
 
 TEST_F(StorageCorruptionTest, RawSectionFlipsAreDetectedInBothModes) {
@@ -248,12 +258,8 @@ TEST_F(StorageCorruptionTest, RawSectionFlipsAreDetectedInBothModes) {
           std::to_string(offset);
       // Whole-file pass on: caught before any adoption.
       ExpectOpenFails(corrupt, what.c_str());
-      ExpectMmapOpenFails(corrupt, what.c_str(),
-                          /*verify_file_checksum=*/true);
       // Whole-file pass off: the per-section CRC is the last line.
       ExpectOpenFails(corrupt, what.c_str(), /*verify_file_checksum=*/false);
-      ExpectMmapOpenFails(corrupt, what.c_str(),
-                          /*verify_file_checksum=*/false);
     }
   }
 }
@@ -276,12 +282,12 @@ TEST_F(StorageCorruptionTest, SectionCrcFieldFlipIsDetected) {
 TEST_F(StorageCorruptionTest, TruncationIsDetectedThroughMmapToo) {
   const size_t pages = image_->size() / kPageSize;
   for (size_t keep : {pages / 2, pages - 1}) {
-    ExpectMmapOpenFails(image_->substr(0, keep * kPageSize),
-                        ("mmap truncation to " + std::to_string(keep)).c_str(),
-                        /*verify_file_checksum=*/true);
-    ExpectMmapOpenFails(image_->substr(0, keep * kPageSize),
-                        ("mmap truncation to " + std::to_string(keep)).c_str(),
-                        /*verify_file_checksum=*/false);
+    ExpectOpenFails(image_->substr(0, keep * kPageSize),
+                    ("truncation to " + std::to_string(keep)).c_str(),
+                    /*verify_file_checksum=*/true);
+    ExpectOpenFails(image_->substr(0, keep * kPageSize),
+                    ("truncation to " + std::to_string(keep)).c_str(),
+                    /*verify_file_checksum=*/false);
   }
 }
 

@@ -312,8 +312,8 @@ TEST(StorageSnapshot, BareSnapshotRefusesToServeWorkload) {
 }
 
 // ---------------------------------------------------------------------------
-// Open-mode differentials: the mmap (borrowed-frame, zero-copy) path and
-// the copied path must restore identical stores at every page size, and a
+// Open-mode differentials: the mmap (zero-copy) path and the read path
+// (MmapMode::kOff) must restore identical stores at every page size, and a
 // v1 file must keep opening through the re-intern fallback.
 // ---------------------------------------------------------------------------
 
@@ -364,15 +364,18 @@ TEST(StorageSnapshot, MmapAndCopiedOpensAreIdentical) {
     ExpectStoresIdentical(store, b->store);
     EXPECT_EQ(a->app_meta, b->app_meta);
 
-    // Same with the whole-file pass off: the raw sections then rely on
-    // their own CRCs, and the result must not change.
-    OpenOptions unverified = mapped;
-    unverified.verify_file_checksum = false;
-    unverified.stats = nullptr;
-    auto c = Snapshot::Open(path, unverified);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    ExpectDictsIdentical(a->dict, c->dict);
-    ExpectStoresIdentical(a->store, c->store);
+    // Same with the whole-file pass off: pages and raw sections then rely
+    // on their own CRCs, and the result must not change in either mode.
+    for (MmapMode mode : {MmapMode::kOff, MmapMode::kOn}) {
+      OpenOptions unverified;
+      unverified.mmap = mode;
+      unverified.verify_file_checksum = false;
+      auto c = Snapshot::Open(path, unverified);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      ExpectDictsIdentical(a->dict, c->dict);
+      ExpectStoresIdentical(a->store, c->store);
+      EXPECT_EQ(a->app_meta, c->app_meta);
+    }
     std::remove(path.c_str());
   }
 }
@@ -426,6 +429,19 @@ TEST(StorageSnapshot, CheckedInV1FixtureOpensByteIdentically) {
   ExpectDictsIdentical(fresh->dict(), opened->dict());
   ExpectStoresIdentical(fresh->store(), opened->store());
   EXPECT_EQ(PipelineOutput(*fresh, 4), PipelineOutput(*opened, 4));
+
+  // The v1 decoder restores the same world from a read image, with and
+  // without the whole-file pass.
+  for (bool verify : {true, false}) {
+    storage::OpenOptions read;
+    read.mmap = MmapMode::kOff;
+    read.verify_file_checksum = verify;
+    auto reread = server::OpenWorkbenchSnapshot(fixture, read);
+    ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+    ExpectDictsIdentical(fresh->dict(), reread->dict());
+    ExpectStoresIdentical(fresh->store(), reread->store());
+    EXPECT_EQ(PipelineOutput(*fresh, 4), PipelineOutput(*reread, 4));
+  }
 
   // Writer stability: saving the same workbench at v1 today yields the
   // fixture's exact bytes (the save -> open -> save fixpoint, across
