@@ -84,33 +84,37 @@ Result<Classification> ClassificationSession::Classify(
         batch_.PrefillPairJoins(candidates, fresh);
   }
 
+  // The template's parameter-free leaves and pairs, counted once here
+  // rather than by every worker that first misses them.
+  const opt::JoinGraph& graph = batch_.graph();
+  const opt::CardinalityEstimator est(store_, dict_, cache_);
+  if (!fresh.empty() && !ground_signature_.has_value()) {
+    ground_signature_ = graph.GroundSignature(est);
+  }
+
   const size_t threads = util::ThreadPool::ResolveThreads(options_.threads);
   util::ThreadPool pool(threads - 1);
   util::FirstFailureTracker tracker(n);
   std::vector<Status> failures(n);
 
-  // Stage 2 — cardinality signatures for the fresh candidates. Workers
-  // write to disjoint per-candidate slots; the shared cache is internally
-  // synchronized; so the outcome is independent of scheduling.
+  // Stage 2 — cardinality signatures for the fresh candidates: each
+  // binding's ids substituted into the compiled graph (no Bind, no
+  // dictionary lookup). Workers write to disjoint per-candidate slots;
+  // the shared cache is internally synchronized; so the outcome is
+  // independent of scheduling.
   std::vector<opt::CardinalitySignature> fresh_sigs(fresh.size());
   std::vector<uint8_t> computed(fresh.size(), 0);
   pool.ParallelFor(0, fresh.size(), [&](uint64_t lo, uint64_t hi) {
     for (uint64_t k = lo; k < hi; ++k) {
       const size_t i = fresh[k];
       if (tracker.ShouldSkip(i)) continue;
-      auto bound = tmpl_.Bind(candidates[i], dict_);
-      if (!bound.ok()) {
-        failures[i] = bound.status();
+      if (Status st = tmpl_.CheckArity(candidates[i]); !st.ok()) {
+        failures[i] = std::move(st);
         tracker.Record(i);
         continue;
       }
-      auto sig = batch_.Signature(*bound);
-      if (!sig.ok()) {
-        failures[i] = sig.status();
-        tracker.Record(i);
-        continue;
-      }
-      fresh_sigs[k] = std::move(sig).value();
+      fresh_sigs[k] = *ground_signature_;
+      graph.FillSignature(candidates[i].values, est, &fresh_sigs[k]);
       computed[k] = 1;
     }
   });
@@ -122,8 +126,10 @@ Result<Classification> ClassificationSession::Classify(
   // committed to session state yet (errors must leave it untouched).
   struct PendingGroup {
     size_t representative;  // lowest candidate index with this signature
+    const opt::CardinalitySignature* signature;  // key in new_sig_ids
   };
-  std::map<opt::CardinalitySignature, uint32_t> new_sig_ids;
+  std::unordered_map<opt::CardinalitySignature, uint32_t, opt::SignatureHash>
+      new_sig_ids;
   std::vector<PendingGroup> pending;
   for (size_t k = 0; k < fresh.size(); ++k) {
     if (!computed[k]) continue;  // skipped past the first failure
@@ -133,21 +139,21 @@ Result<Classification> ClassificationSession::Classify(
         it != signature_ids_.end()) {
       id = it->second;
       ++last_stats_.reused_signatures;
-    } else if (auto it2 = new_sig_ids.find(fresh_sigs[k]);
-               it2 != new_sig_ids.end()) {
-      id = it2->second;
     } else {
-      id = static_cast<uint32_t>(results_.size() + pending.size());
-      new_sig_ids.emplace(std::move(fresh_sigs[k]), id);
-      pending.push_back(PendingGroup{i});
+      const auto next_id =
+          static_cast<uint32_t>(results_.size() + pending.size());
+      auto [it2, inserted] =
+          new_sig_ids.try_emplace(std::move(fresh_sigs[k]), next_id);
+      id = it2->second;
+      if (inserted) pending.push_back(PendingGroup{i, &it2->first});
     }
     sig_of_candidate[i] = id;
   }
 
   // Stage 4 — one DP run per distinct new signature (parallel over
-  // groups). The group's result is provably the result of every member
-  // (see optimizer/batch_cardinality.h), and a failing group fails at its
-  // representative — the lowest member index — which reproduces the
+  // groups), solved straight on the signature, so the group's result is
+  // the result of every member by construction. A failing group fails at
+  // its representative — the lowest member index — which reproduces the
   // per-candidate path's first-failure-in-enumeration-order error.
   struct DpOutcome {
     double est_cout = 0;
@@ -158,24 +164,18 @@ Result<Classification> ClassificationSession::Classify(
   // failed call's stats report attempts, not the queued group count.
   std::atomic<uint64_t> dp_attempts{0};
   pool.ParallelFor(0, pending.size(), [&](uint64_t lo, uint64_t hi) {
+    opt::JoinOrderSolver solver(graph, options_.optimizer);
     for (uint64_t g = lo; g < hi; ++g) {
       const size_t rep = pending[g].representative;
       if (tracker.ShouldSkip(rep)) continue;
-      auto bound = tmpl_.Bind(candidates[rep], dict_);
-      if (!bound.ok()) {  // unreachable: stage 2 bound this candidate
-        failures[rep] = bound.status();
-        tracker.Record(rep);
-        continue;
-      }
       dp_attempts.fetch_add(1, std::memory_order_relaxed);
-      auto plan = opt::Optimize(*bound, store_, dict_, options_.optimizer);
-      if (!plan.ok()) {
-        failures[rep] = plan.status();
+      if (Status st = solver.Solve(*pending[g].signature); !st.ok()) {
+        failures[rep] = std::move(st);
         tracker.Record(rep);
         continue;
       }
-      outcomes[g].est_cout = plan->est_cout;
-      outcomes[g].fingerprint = std::move(plan->fingerprint);
+      outcomes[g].est_cout = solver.est_cout();
+      outcomes[g].fingerprint = solver.Fingerprint();
     }
   });
 

@@ -22,8 +22,14 @@
 // enumeration order — to a fresh ClassifyParameters call with the same
 // options and budget, at every thread count, regardless of the session's
 // history. The proof obligation is the signature property (equal
-// signatures => equal Optimize() results; see optimizer/batch_cardinality.h)
+// signatures => equal Optimize() results; see optimizer/join_graph.h)
 // plus enumeration-order merges everywhere else.
+//
+// The template compiles once per session into an opt::JoinGraph: its
+// constants resolve to ids once, and its parameter-free leaves and pairs
+// are counted once, on the calling thread, before any worker starts.
+// Each binding's signature then substitutes the binding's ids into the
+// compiled patterns, and the DP runs straight on each distinct signature.
 //
 // Sessions are single-caller objects (internal parallelism only); the
 // referenced template/store/dictionary must outlive the session and stay
@@ -34,12 +40,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/plan_classifier.h"
 #include "optimizer/batch_cardinality.h"
 #include "optimizer/cardinality_cache.h"
+#include "optimizer/join_graph.h"
 
 namespace rdfparams::core {
 
@@ -86,12 +95,17 @@ class ClassificationSession {
   ClassifyOptions options_;
   std::unique_ptr<opt::CardinalityCache> owned_cache_;
   opt::CardinalityCache* cache_;
+  /// Owns the compiled template (batch_.graph()).
   opt::BatchCardinality batch_;
+  /// batch_.graph().GroundSignature(), computed by the first Classify that
+  /// needs a signature.
+  std::optional<opt::CardinalitySignature> ground_signature_;
 
   // Session memory. results_ is indexed by signature id; ids are dense
   // and append-only, so memo entries from earlier calls stay valid.
   std::map<sparql::ParameterBinding, uint32_t> candidate_memo_;
-  std::map<opt::CardinalitySignature, uint32_t> signature_ids_;
+  std::unordered_map<opt::CardinalitySignature, uint32_t, opt::SignatureHash>
+      signature_ids_;
   std::vector<SignatureResult> results_;
   std::vector<std::string> fingerprints_;
   std::map<std::string, uint32_t> fingerprint_ids_;

@@ -1,7 +1,7 @@
 // Batched cardinality work for classifying many candidate bindings of one
 // query template.
 //
-// Three jobs, all feeding the classification hot loop:
+// Two jobs, both feeding the classification hot loop:
 //
 //  1. PrefillLeafCounts: every leaf count the optimizer will ask for —
 //     one per (triple pattern, candidate) combination — is computed up
@@ -25,23 +25,10 @@
 //     too sparse for a dense array is left to ExactPairJoinCount's merge
 //     sweep.
 //
-//  2. Signature: the *cardinality signature* of one bound candidate — the
-//     bit patterns of every number the C_out join-ordering DP reads. The
-//     DP's decisions (subset costs, canonical build sides, tie-breaks)
-//     are a deterministic function of (a) the per-pattern RelationInfo
-//     leaves and (b) the exact pair-join counts of single-scan pattern
-//     pairs; everything else it consults (variable structure, pattern
-//     indices, index choices) is a property of the template, identical
-//     across candidates. Therefore two candidates with equal signatures
-//     provably receive identical Optimize() results — same plan
-//     fingerprint, same est_cout — and the DP only needs to run once per
-//     distinct signature. Comparison is bitwise (stricter than ==), so a
-//     shared signature can never produce a different classification than
-//     the per-candidate path.
+// Stage 2 (per-binding cardinality signatures) lives in JoinGraph, which
+// reads the counts these prefills leave in the cache.
 //
-// Thread model: the prefills are called once, before workers start;
-// Signature is const and safe to call from many threads concurrently (the
-// shared cache is internally synchronized).
+// Thread model: the prefills are called once, before workers start.
 #ifndef RDFPARAMS_OPTIMIZER_BATCH_CARDINALITY_H_
 #define RDFPARAMS_OPTIMIZER_BATCH_CARDINALITY_H_
 
@@ -50,16 +37,10 @@
 #include <vector>
 
 #include "optimizer/cardinality.h"
+#include "optimizer/join_graph.h"
 #include "sparql/query_template.h"
 
 namespace rdfparams::opt {
-
-/// Bitwise image of every DP input for one candidate: per pattern, the
-/// RelationInfo cardinality followed by its var_distinct values (map
-/// order, whose keys are the template's variables and thus identical
-/// across candidates); then, per pattern pair (i < j), a presence flag
-/// and the exact pair-join count. Equal vectors => equal plans.
-using CardinalitySignature = std::vector<uint64_t>;
 
 struct BatchPrefillStats {
   /// Counts answered by CountPatternBatch sweeps.
@@ -71,9 +52,9 @@ struct BatchPrefillStats {
 
 class BatchCardinality {
  public:
-  /// `cache` must be non-null: prefilled counts land there, and the
-  /// signature pass both feeds from and feeds it. The referenced
-  /// template/store/dict must outlive this object.
+  /// `cache` must be non-null: prefilled counts land there, where the
+  /// signature pass finds them. The template is compiled here (its
+  /// constants resolved through `dict`); `store` must outlive this object.
   BatchCardinality(const sparql::QueryTemplate& tmpl,
                    const rdf::TripleStore& store, const rdf::Dictionary& dict,
                    CardinalityCache* cache);
@@ -102,16 +83,14 @@ class BatchCardinality {
       const std::vector<sparql::ParameterBinding>& candidates,
       std::span<const size_t> which);
 
-  /// Cardinality signature of one bound candidate query (`bound` must be
-  /// tmpl.Bind(candidate) for this object's template). Thread-safe.
-  [[nodiscard]] Result<CardinalitySignature> Signature(const sparql::SelectQuery& bound)
-      const;
+  /// The template compiled once; both prefills read it, and so does the
+  /// signature pass.
+  const JoinGraph& graph() const { return graph_; }
 
  private:
-  const sparql::QueryTemplate& tmpl_;
   const rdf::TripleStore& store_;
-  const rdf::Dictionary& dict_;
   CardinalityCache* cache_;
+  JoinGraph graph_;
 };
 
 }  // namespace rdfparams::opt

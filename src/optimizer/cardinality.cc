@@ -59,6 +59,57 @@ double FilterSelectivity(sparql::CompareOp op, double distinct_values) {
   return 1.0;
 }
 
+rdf::Triple LeafShape::Substitute(std::span<const TermId> values) const {
+  rdf::Triple t = ids;
+  for (int k = 0; k < 3; ++k) {
+    if (param[k] >= 0) {
+      rdf::SetPos(&t, static_cast<rdf::TriplePos>(k),
+                  values[static_cast<size_t>(param[k])]);
+    }
+  }
+  return t;
+}
+
+LeafShape CompileLeaf(const sparql::SelectQuery& query, size_t pattern_index,
+                      const std::vector<std::string>& parameter_names,
+                      const rdf::Dictionary& dict) {
+  const sparql::TriplePattern& tp = query.patterns[pattern_index];
+  LeafShape shape;
+  shape.var_names = tp.Variables();
+  std::sort(shape.var_names.begin(), shape.var_names.end());
+  const Slot* slots[3] = {&tp.s, &tp.p, &tp.o};
+  for (int k = 0; k < 3; ++k) {
+    const Slot& slot = *slots[k];
+    const auto pos = static_cast<rdf::TriplePos>(k);
+    if (slot.is_var()) {
+      shape.slot_var[k] = static_cast<int>(
+          std::lower_bound(shape.var_names.begin(), shape.var_names.end(),
+                           slot.name) -
+          shape.var_names.begin());
+    } else if (slot.is_param()) {
+      auto it = std::find(parameter_names.begin(), parameter_names.end(),
+                          slot.name);
+      RDFPARAMS_DCHECK(it != parameter_names.end());
+      shape.param[k] = static_cast<int>(it - parameter_names.begin());
+    } else if (auto id = dict.Find(slot.term); id.has_value()) {
+      rdf::SetPos(&shape.ids, pos, *id);
+    } else {
+      rdf::SetPos(&shape.ids, pos, rdf::kInvalidTermId);
+      shape.absent_constant = true;
+    }
+  }
+  // A %parameter rhs is a constant once bound, so it folds in like one.
+  for (const sparql::FilterCondition& f : query.filters) {
+    if (f.rhs.is_var()) continue;
+    auto it = std::lower_bound(shape.var_names.begin(), shape.var_names.end(),
+                               f.lhs_var);
+    if (it == shape.var_names.end() || *it != f.lhs_var) continue;
+    shape.filters.emplace_back(
+        f.op, static_cast<int>(it - shape.var_names.begin()));
+  }
+  return shape;
+}
+
 Result<RelationInfo> CardinalityEstimator::EstimatePattern(
     const sparql::SelectQuery& query, size_t pattern_index) const {
   if (pattern_index >= query.patterns.size()) {
@@ -69,29 +120,42 @@ Result<RelationInfo> CardinalityEstimator::EstimatePattern(
     return Status::InvalidArgument(
         "pattern still contains unbound %parameters");
   }
-
-  TermId s = kWildcardId, p = kWildcardId, o = kWildcardId;
-  bool bs = false, bp = false, bo = false;
-  bool s_present = ResolveSlot(tp.s, dict_, &s, &bs);
-  bool p_present = ResolveSlot(tp.p, dict_, &p, &bp);
-  bool o_present = ResolveSlot(tp.o, dict_, &o, &bo);
-
+  const LeafShape shape = CompileLeaf(query, pattern_index, {}, dict_);
+  double out[4];
+  EstimateLeaf(shape, shape.ids, out);
   RelationInfo info;
-  // A constant that is absent from the dictionary matches nothing.
-  if (!s_present || !p_present || !o_present) {
-    info.cardinality = 0;
-    for (const std::string& v : tp.Variables()) info.var_distinct[v] = 0;
-    return info;
+  info.cardinality = out[0];
+  for (size_t k = 0; k < shape.var_names.size(); ++k) {
+    info.var_distinct[shape.var_names[k]] = out[1 + k];
   }
+  return info;
+}
+
+void CardinalityEstimator::EstimateLeaf(const LeafShape& shape,
+                                        const rdf::Triple& ids,
+                                        double* out) const {
+  const size_t num_vars = shape.var_names.size();
+  // A constant that is absent from the dictionary matches nothing.
+  if (shape.absent_constant) {
+    for (size_t k = 0; k <= num_vars; ++k) out[k] = 0;
+    return;
+  }
+  const TermId p = ids.p;
+  const bool bs = shape.slot_var[0] < 0;
+  const bool bp = shape.slot_var[1] < 0;
+  const bool bo = shape.slot_var[2] < 0;
 
   // Exact match count through the covering index (memoized).
-  double card = static_cast<double>(CachedCount(s, p, o));
+  double card = static_cast<double>(CachedCount(ids.s, ids.p, ids.o));
 
   // Repeated variable inside one pattern (e.g. ?x :p ?x): the index range
   // over-counts; apply an equality selectivity between the two positions.
-  bool s_eq_o = tp.s.is_var() && tp.o.is_var() && tp.s.name == tp.o.name;
-  bool s_eq_p = tp.s.is_var() && tp.p.is_var() && tp.s.name == tp.p.name;
-  bool p_eq_o = tp.p.is_var() && tp.o.is_var() && tp.p.name == tp.o.name;
+  auto same_var = [&](int a, int b) {
+    return shape.slot_var[a] >= 0 && shape.slot_var[a] == shape.slot_var[b];
+  };
+  const bool s_eq_o = same_var(0, 2);
+  const bool s_eq_p = same_var(0, 1);
+  const bool p_eq_o = same_var(1, 2);
 
   // Distinct-value estimates per variable position.
   auto global_distinct = [&](rdf::TriplePos pos) -> double {
@@ -129,33 +193,23 @@ Result<RelationInfo> CardinalityEstimator::EstimatePattern(
   if (s_eq_p) card /= std::max(position_distinct(rdf::TriplePos::kP), 1.0);
   if (p_eq_o) card /= std::max(position_distinct(rdf::TriplePos::kO), 1.0);
 
-  info.cardinality = card;
-  if (tp.s.is_var()) {
-    info.var_distinct[tp.s.name] =
-        std::min(card, position_distinct(rdf::TriplePos::kS));
-  }
-  if (tp.p.is_var()) {
-    info.var_distinct[tp.p.name] =
-        std::min(card, position_distinct(rdf::TriplePos::kP));
-  }
-  if (tp.o.is_var()) {
-    info.var_distinct[tp.o.name] =
-        std::min(card, position_distinct(rdf::TriplePos::kO));
+  // A variable repeated inside the pattern keeps its last position's
+  // estimate.
+  out[0] = card;
+  for (int k = 0; k < 3; ++k) {
+    if (shape.slot_var[k] < 0) continue;
+    out[1 + shape.slot_var[k]] =
+        std::min(card, position_distinct(static_cast<rdf::TriplePos>(k)));
   }
 
   // Fold in constant-rhs filters on variables this pattern produces.
-  for (const sparql::FilterCondition& f : query.filters) {
-    if (!f.rhs.is_const()) continue;
-    auto it = info.var_distinct.find(f.lhs_var);
-    if (it == info.var_distinct.end()) continue;
-    double sel = FilterSelectivity(f.op, it->second);
-    info.cardinality *= sel;
-    for (auto& [var, d] : info.var_distinct) {
-      d = std::max(1.0, std::min(d, info.cardinality));
-      (void)var;
+  for (const auto& [op, var] : shape.filters) {
+    double sel = FilterSelectivity(op, out[1 + var]);
+    out[0] *= sel;
+    for (size_t k = 0; k < num_vars; ++k) {
+      out[1 + k] = std::max(1.0, std::min(out[1 + k], out[0]));
     }
   }
-  return info;
 }
 
 namespace {
@@ -260,6 +314,24 @@ PairJoinRoute RoutePairJoin(uint64_t size_a, uint64_t size_b,
   return PairJoinRoute::kCount;
 }
 
+std::optional<SlotCountTable> SlotCountTable::Build(
+    std::span<const rdf::Triple> run, rdf::TriplePos pos) {
+  SlotCountTable table;
+  if (run.empty()) return table;
+  TermId lo = rdf::GetPos(run[0], pos);
+  TermId hi = lo;
+  for (const rdf::Triple& t : run) {
+    lo = std::min(lo, rdf::GetPos(t, pos));
+    hi = std::max(hi, rdf::GetPos(t, pos));
+  }
+  const uint64_t span = uint64_t{hi} - lo + 1;
+  if (span > kDenseSpanFactor * run.size()) return std::nullopt;
+  table.base_ = lo;
+  table.counts_.assign(span, 0);
+  for (const rdf::Triple& t : run) ++table.counts_[rdf::GetPos(t, pos) - lo];
+  return table;
+}
+
 std::optional<double> CardinalityEstimator::ExactPairJoinCount(
     const sparql::SelectQuery& query, size_t pattern_a, size_t pattern_b,
     uint64_t max_work) const {
@@ -268,7 +340,12 @@ std::optional<double> CardinalityEstimator::ExactPairJoinCount(
   std::optional<PairJoinKey> key = ResolvePairJoin(
       query.patterns[pattern_a], query.patterns[pattern_b], dict_);
   if (!key.has_value()) return std::nullopt;
-  if (key->absent_constant) return 0.0;
+  return CountPairJoin(*key, max_work);
+}
+
+std::optional<double> CardinalityEstimator::CountPairJoin(
+    const PairJoinKey& key, uint64_t max_work) const {
+  if (key.absent_constant) return 0.0;
 
   // The whole result is a deterministic function of the resolved patterns
   // and join positions, so it can be memoized across candidate bindings.
@@ -276,22 +353,22 @@ std::optional<double> CardinalityEstimator::ExactPairJoinCount(
   // inputs are declined, so differently-budgeted calls must not alias.
   const bool cacheable =
       cache_ != nullptr && max_work == kDefaultPairJoinMaxWork;
-  const auto pos_key_a = static_cast<uint8_t>(key->pos_a);
-  const auto pos_key_b = static_cast<uint8_t>(key->pos_b);
+  const auto pos_key_a = static_cast<uint8_t>(key.pos_a);
+  const auto pos_key_b = static_cast<uint8_t>(key.pos_b);
   if (cacheable) {
-    if (auto hit = cache_->LookupPairJoin(key->ids, pos_key_a, pos_key_b)) {
+    if (auto hit = cache_->LookupPairJoin(key.ids, pos_key_a, pos_key_b)) {
       return *hit;
     }
   }
   auto memoize = [&](std::optional<double> result) {
     if (cacheable) {
-      cache_->InsertPairJoin(key->ids, pos_key_a, pos_key_b, result);
+      cache_->InsertPairJoin(key.ids, pos_key_a, pos_key_b, result);
     }
     return result;
   };
 
-  const rdf::Triple a = key->side_a();
-  const rdf::Triple b = key->side_b();
+  const rdf::Triple a = key.side_a();
+  const rdf::Triple b = key.side_b();
   const uint64_t size_a = CachedCount(a.s, a.p, a.o);
   const uint64_t size_b = CachedCount(b.s, b.p, b.o);
   switch (RoutePairJoin(size_a, size_b, max_work)) {
@@ -307,73 +384,38 @@ std::optional<double> CardinalityEstimator::ExactPairJoinCount(
   const bool a_smaller = size_a <= size_b;
   const rdf::Triple& small = a_smaller ? a : b;
   const rdf::Triple& big = a_smaller ? b : a;
-  const rdf::TriplePos small_pos = a_smaller ? key->pos_a : key->pos_b;
-  const rdf::TriplePos big_pos = a_smaller ? key->pos_b : key->pos_a;
+  const rdf::TriplePos small_pos = a_smaller ? key.pos_a : key.pos_b;
+  const rdf::TriplePos big_pos = a_smaller ? key.pos_b : key.pos_a;
   if (std::min(size_a, size_b) <= kMergeSweepLimit) {
     return memoize(static_cast<double>(
         MergeSweepCount(store_, small, small_pos, big, big_pos)));
   }
 
   // Hash-count pass: value -> multiplicity from the small side, then sum
-  // products over the big side.
+  // the big side's keys' multiplicities — through a dense table when the
+  // small side's keys cluster, else a hash map.
+  const std::span<const rdf::Triple> small_run = store_.Range(
+      store_.ChooseIndex(small.s, small.p, small.o), small.s, small.p,
+      small.o);
+  const std::span<const rdf::Triple> big_run =
+      store_.Range(store_.ChooseIndex(big.s, big.p, big.o), big.s, big.p,
+                   big.o);
+  uint64_t total = 0;
+  if (const std::optional<SlotCountTable> table =
+          SlotCountTable::Build(small_run, small_pos)) {
+    for (const rdf::Triple& t : big_run) {
+      total += table->Count(rdf::GetPos(t, big_pos));
+    }
+    return memoize(static_cast<double>(total));
+  }
   std::unordered_map<rdf::TermId, uint64_t> counts;
-  counts.reserve(std::min(size_a, size_b) * 2);
-  {
-    auto range = store_.Range(store_.ChooseIndex(small.s, small.p, small.o),
-                              small.s, small.p, small.o);
-    for (const rdf::Triple& t : range) {
-      ++counts[rdf::GetPos(t, small_pos)];
-    }
+  counts.reserve(small_run.size() * 2);
+  for (const rdf::Triple& t : small_run) ++counts[rdf::GetPos(t, small_pos)];
+  for (const rdf::Triple& t : big_run) {
+    auto it = counts.find(rdf::GetPos(t, big_pos));
+    if (it != counts.end()) total += it->second;
   }
-  double total = 0;
-  {
-    auto range = store_.Range(store_.ChooseIndex(big.s, big.p, big.o), big.s,
-                              big.p, big.o);
-    for (const rdf::Triple& t : range) {
-      auto it = counts.find(rdf::GetPos(t, big_pos));
-      if (it != counts.end()) total += static_cast<double>(it->second);
-    }
-  }
-  return memoize(total);
-}
-
-std::vector<std::string> CardinalityEstimator::SharedVars(
-    const RelationInfo& a, const RelationInfo& b) {
-  std::vector<std::string> shared;
-  for (const auto& [var, d] : a.var_distinct) {
-    (void)d;
-    if (b.var_distinct.count(var) > 0) shared.push_back(var);
-  }
-  return shared;  // std::map iteration is already sorted by name
-}
-
-RelationInfo CardinalityEstimator::EstimateJoin(const RelationInfo& a,
-                                                const RelationInfo& b) {
-  RelationInfo out;
-  std::vector<std::string> shared = SharedVars(a, b);
-  double selectivity = 1.0;
-  for (const std::string& v : shared) {
-    double da = std::max(a.var_distinct.at(v), 1.0);
-    double db = std::max(b.var_distinct.at(v), 1.0);
-    selectivity /= std::max(da, db);
-  }
-  out.cardinality = a.cardinality * b.cardinality * selectivity;
-
-  // Propagate distinct counts: shared vars keep the smaller side
-  // (containment assumption); exclusive vars carry over. All are capped by
-  // the output cardinality.
-  for (const auto& [var, da] : a.var_distinct) {
-    double d = da;
-    auto it = b.var_distinct.find(var);
-    if (it != b.var_distinct.end()) d = std::min(d, it->second);
-    out.var_distinct[var] = std::max(0.0, std::min(d, out.cardinality));
-  }
-  for (const auto& [var, db] : b.var_distinct) {
-    if (out.var_distinct.count(var) == 0) {
-      out.var_distinct[var] = std::max(0.0, std::min(db, out.cardinality));
-    }
-  }
-  return out;
+  return memoize(static_cast<double>(total));
 }
 
 }  // namespace rdfparams::opt

